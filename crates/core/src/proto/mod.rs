@@ -1612,8 +1612,10 @@ impl WireCodec for Message {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hiloc_geo::Region;
+    use hiloc_geo::{Polygon, Region};
     use hiloc_net::ClientId;
+
+    mod golden;
 
     fn sample_messages() -> Vec<Message> {
         let s = Sighting::new(ObjectId(42), 123_456, Point::new(10.0, -5.0), 12.5);
@@ -1621,6 +1623,10 @@ mod tests {
         let ld = LocationDescriptor::new(Point::new(1.0, 2.0), 25.0);
         let area = Region::from(Rect::new(Point::new(0.0, 0.0), Point::new(50.0, 50.0)));
         let query = RangeQuery::new(area.clone(), 50.0, 0.3);
+        let polygon = Region::Polygon(
+            Polygon::new(vec![Point::new(0.0, 0.0), Point::new(40.0, 0.0), Point::new(20.0, 30.0)])
+                .unwrap(),
+        );
         vec![
             Message::RegisterReq {
                 sighting: s,
@@ -1677,6 +1683,7 @@ mod tests {
             Message::PosQueryMiss { oid: ObjectId(42), corr: CorrId(5) },
             Message::RangeQueryReq { query: query.clone(), corr: CorrId(6) },
             Message::RangeQueryFwd { query, entry: ServerId(2), corr: CorrId(6) },
+            Message::RangeQueryReq { query: RangeQuery::new(polygon.clone(), 5.0, 1.0), corr: CorrId(6) },
             Message::RangeQuerySubRes {
                 items: vec![(ObjectId(1), ld), (ObjectId(2), ld)],
                 covered_area_m2: 2_500.0,
@@ -1717,6 +1724,19 @@ mod tests {
                 coordinator: ServerId(1),
                 predicate: Predicate::Enter { area: Region::from(Rect::new(Point::new(0.0, 0.0), Point::new(9.0, 9.0))), oid: None },
             },
+            Message::EventRegisterReq {
+                predicate: Predicate::Enter { area: polygon.clone(), oid: Some(ObjectId(42)) },
+                corr: CorrId(8),
+            },
+            Message::EventRegisterReq {
+                predicate: Predicate::Leave { area: polygon, oid: Some(ObjectId(7)) },
+                corr: CorrId(8),
+            },
+            Message::EventInstall {
+                event_id: 12,
+                coordinator: ServerId(1),
+                predicate: Predicate::Leave { area: area.clone(), oid: None },
+            },
             Message::EventUninstall { event_id: 11 },
             Message::EventLocalReport {
                 event_id: 11,
@@ -1726,9 +1746,12 @@ mod tests {
                 left: vec![ObjectId(2), ObjectId(3)],
             },
             Message::EventNotify { event_id: 11, kind: EventKind::CountReached { count: 6 } },
+            Message::EventNotify { event_id: 11, kind: EventKind::Entered { oid: ObjectId(42) } },
+            Message::EventNotify { event_id: 11, kind: EventKind::Left { oid: ObjectId(43) } },
             Message::EventCancelReq { event_id: 11 },
             Message::PositionProbe { oid: ObjectId(42) },
             Message::AgentLookup { oid: ObjectId(42), object: ClientId(9).into() },
+            Message::AgentLookup { oid: ObjectId(42), object: ServerId(3).into() },
             Message::StateTransfer {
                 records: vec![
                     TransferRecord {

@@ -3,16 +3,16 @@
 #
 # Everything runs with --offline: the workspace has a zero-external-
 # dependency policy (see README.md), enforced — along with the
-# determinism, wall-clock, hot-path, wire-coverage, and HLC-order
-# invariants — by
-# the hiloc-lint static analyzer, which gates everything below. The old
+# determinism, wall-clock, durability, hot-path and HLC-order
+# invariants — by the hiloc-lint static analyzer, which gates
+# everything below. The old
 # standalone awk manifest guard lives on as hiloc-lint's `manifest`
 # rule (crates/lint/src/rules/manifest.rs), which also handles `path`
 # appearing after `version` in a dependency table.
 set -euo pipefail
 cd "$(dirname "$0")"
 
-echo "==> hiloc-lint (determinism / wallclock / durability / hot_path / manifest / wire / hlc)"
+echo "==> hiloc-lint (determinism / wallclock / durability / hot_path / manifest / hlc)"
 cargo run -q --offline -p hiloc-lint -- check
 
 echo "==> cargo build --release --offline"
@@ -67,6 +67,13 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "==> bench targets compile"
 cargo check --offline --workspace --benches
+
+# The wall-clock benchmark (BENCHMARK.json, perfbench/) is its own
+# cargo workspace, so the workspace runs above never build it. Compile
+# it and run its self-tests here, so a core API change that breaks the
+# benchmark fails CI instead of the next benchmark run.
+echo "==> perfbench package builds and self-tests"
+cargo test -q --offline --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
 
 # Keeps the perf harness from bit-rotting: a quick hotpath run must
 # produce a report that the strict util::json validator accepts

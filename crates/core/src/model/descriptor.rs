@@ -110,19 +110,27 @@ impl RegInfo {
     ///
     /// # Panics
     ///
-    /// Panics unless `0 <= des_acc_m <= min_acc_m` and
-    /// `max_speed_mps >= 0`, all finite.
+    /// Panics unless the bounds are valid ([`RegInfo::is_valid`]).
     pub fn new(registrant: Endpoint, des_acc_m: f64, min_acc_m: f64, max_speed_mps: f64) -> Self {
+        let reg = RegInfo { registrant, des_acc_m, min_acc_m, max_speed_mps };
         assert!(
-            des_acc_m >= 0.0 && des_acc_m.is_finite() && min_acc_m.is_finite(),
-            "accuracy bounds must be finite"
+            reg.is_valid(),
+            "desired accuracy ({des_acc_m} m) must not be worse than minimal ({min_acc_m} m); \
+             all bounds must be finite, desired accuracy and max speed ({max_speed_mps} m/s) \
+             non-negative"
         );
-        assert!(
-            des_acc_m <= min_acc_m,
-            "desired accuracy ({des_acc_m} m) must not be worse than minimal ({min_acc_m} m)"
-        );
-        assert!(max_speed_mps >= 0.0 && max_speed_mps.is_finite());
-        RegInfo { registrant, des_acc_m, min_acc_m, max_speed_mps }
+        reg
+    }
+
+    /// Whether the bounds are usable: `0 <= des_acc_m <= min_acc_m`,
+    /// all finite, and `max_speed_mps >= 0`. The wire decoder and the
+    /// registration handlers refuse anything else.
+    pub fn is_valid(&self) -> bool {
+        self.des_acc_m >= 0.0
+            && self.des_acc_m <= self.min_acc_m
+            && self.min_acc_m.is_finite()
+            && self.max_speed_mps >= 0.0
+            && self.max_speed_mps.is_finite()
     }
 
     /// The accuracy the service offers given what it can achieve

@@ -55,7 +55,7 @@ impl LocationServer {
         }
         // Leaf: negotiate accuracy (lines 2–15).
         let reg = RegInfo { registrant, des_acc_m, min_acc_m, max_speed_mps };
-        if !reg.acceptable(self.opts.acc_floor_m) {
+        if !reg.is_valid() || !reg.acceptable(self.opts.acc_floor_m) {
             self.emit(
                 registrant,
                 Message::RegisterFailed { server: self.id(), achievable_m: self.opts.acc_floor_m, corr },
@@ -140,7 +140,7 @@ impl LocationServer {
             Some(VisitorRecord::Leaf { offered_acc_m: old_offered, reg, epoch }) => {
                 let candidate =
                     RegInfo { des_acc_m, min_acc_m, ..reg };
-                if des_acc_m > min_acc_m || !candidate.acceptable(self.opts.acc_floor_m) {
+                if !candidate.is_valid() || !candidate.acceptable(self.opts.acc_floor_m) {
                     self.emit(
                         reg.registrant,
                         Message::ChangeAccRes { oid, ok: false, offered_acc_m: old_offered, corr },

@@ -1,37 +1,39 @@
 //! The visitor database: per-object records with durable backing.
 
 use crate::model::{Hlc, ObjectId, RegInfo};
-use hiloc_net::wire;
+use crate::proto::{wire_enum, Field};
 use hiloc_net::ServerId;
 use hiloc_storage::{BatchOp, DurableMap, RecordValue, StorageError, SyncPolicy};
 use std::collections::BTreeMap;
 use std::path::Path;
 
-/// A visitor record (paper §5): what a server knows about an object
-/// currently inside its service area.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum VisitorRecord {
-    /// Stored by the object's agent (leaf server): offered accuracy and
-    /// registration info. The sighting itself lives in the volatile
-    /// sighting database.
-    Leaf {
-        /// Currently offered accuracy (`v.offeredAcc`).
-        offered_acc_m: f64,
-        /// Registration information (`v.regInfo`).
-        reg: RegInfo,
-        /// Hybrid-logical-clock stamp of the last path change,
-        /// guarding against stale create/remove races and arbitrating
-        /// between replicas (last writer wins, node id tie-break).
-        epoch: Hlc,
-    },
-    /// Stored by non-leaf servers: the child next on the path to the
-    /// object's agent (`v.forwardRef`).
-    Forward {
-        /// The next-hop child server.
-        child: ServerId,
-        /// Hybrid-logical-clock stamp of the last path change.
-        epoch: Hlc,
-    },
+wire_enum! {
+    /// A visitor record (paper §5): what a server knows about an object
+    /// currently inside its service area.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub enum VisitorRecord {
+        /// Stored by the object's agent (leaf server): offered accuracy and
+        /// registration info. The sighting itself lives in the volatile
+        /// sighting database.
+        Leaf = 0 {
+            /// Currently offered accuracy (`v.offeredAcc`).
+            offered_acc_m: f64,
+            /// Registration information (`v.regInfo`).
+            reg: RegInfo,
+            /// Hybrid-logical-clock stamp of the last path change,
+            /// guarding against stale create/remove races and arbitrating
+            /// between replicas (last writer wins, node id tie-break).
+            epoch: Hlc,
+        },
+        /// Stored by non-leaf servers: the child next on the path to the
+        /// object's agent (`v.forwardRef`).
+        Forward = 1 {
+            /// The next-hop child server.
+            child: ServerId,
+            /// Hybrid-logical-clock stamp of the last path change.
+            epoch: Hlc,
+        },
+    }
 }
 
 impl VisitorRecord {
@@ -45,46 +47,11 @@ impl VisitorRecord {
 
 impl RecordValue for VisitorRecord {
     fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            VisitorRecord::Leaf { offered_acc_m, reg, epoch } => {
-                wire::put_u8(buf, 0);
-                wire::put_f64(buf, *offered_acc_m);
-                wire::put_endpoint(buf, reg.registrant);
-                wire::put_f64(buf, reg.des_acc_m);
-                wire::put_f64(buf, reg.min_acc_m);
-                wire::put_f64(buf, reg.max_speed_mps);
-                wire::put_u64(buf, epoch.0);
-            }
-            VisitorRecord::Forward { child, epoch } => {
-                wire::put_u8(buf, 1);
-                wire::put_u32(buf, child.0);
-                wire::put_u64(buf, epoch.0);
-            }
-        }
+        Field::put(self, buf);
     }
 
     fn decode(mut buf: &[u8]) -> Option<Self> {
-        let b = &mut buf;
-        match wire::get_u8(b)? {
-            0 => {
-                let offered = wire::get_f64(b)?;
-                let registrant = wire::get_endpoint(b)?;
-                let des = wire::get_f64(b)?;
-                let min = wire::get_f64(b)?;
-                let vmax = wire::get_f64(b)?;
-                let epoch = Hlc(wire::get_u64(b)?);
-                Some(VisitorRecord::Leaf {
-                    offered_acc_m: offered,
-                    reg: RegInfo { registrant, des_acc_m: des, min_acc_m: min, max_speed_mps: vmax },
-                    epoch,
-                })
-            }
-            1 => Some(VisitorRecord::Forward {
-                child: ServerId(wire::get_u32(b)?),
-                epoch: Hlc(wire::get_u64(b)?),
-            }),
-            _ => None,
-        }
+        Field::get(&mut buf)
     }
 }
 
@@ -321,6 +288,17 @@ mod tests {
             assert_eq!(VisitorRecord::decode(&buf), Some(rec));
         }
         assert_eq!(VisitorRecord::decode(&[9, 9]), None);
+
+        // Bounds `RegInfo::is_valid` refuses make the record undecodable,
+        // which the durable map reports as corruption.
+        let bad = VisitorRecord::Leaf {
+            offered_acc_m: 10.0,
+            reg: RegInfo { des_acc_m: 60.0, ..reg() },
+            epoch: Hlc(1),
+        };
+        let mut buf = Vec::new();
+        bad.encode(&mut buf);
+        assert_eq!(VisitorRecord::decode(&buf), None);
     }
 
     #[test]

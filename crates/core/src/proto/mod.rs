@@ -8,727 +8,610 @@
 //! paper defines the query semantics but no distributed algorithm),
 //! the event mechanism (paper §8 future work), and cache-support
 //! messages (§6.5).
+//!
+//! Each message is declared once, in the `wire_enum!` table below, with
+//! its tag byte, trace label and typed fields; the table generates the
+//! enum, `label()`, `encoded_len()` and the codec. Each field type's
+//! layout and decode-time validation is a `Field` impl (`field.rs`).
+//! Tags are never reused: a new variant takes the next free tag. The
+//! golden corpus (`tests/golden.txt`) is the format's reference.
 
 use crate::events::{EventKind, Predicate};
 use crate::model::{Hlc, LocationDescriptor, Micros, ObjectId, RangeQuery, RegInfo, Sighting};
 use hiloc_geo::{Point, Rect};
-use hiloc_net::wire::{self, WireCodec};
+use hiloc_net::wire::WireCodec;
 use hiloc_net::{CorrId, Endpoint, ServerId};
 
-/// Maximum number of `(object, descriptor)` pairs accepted per message.
-const MAX_ITEMS: u32 = 1_000_000;
+mod field;
+
+pub(crate) use field::{accuracy, fixed_sum, wire_enum, wire_struct, Field};
 
 /// One `(object, location descriptor)` result pair.
 pub type ObjectLocation = (ObjectId, LocationDescriptor);
 
-/// One visitor's complete agent-side state, moved by a bulk
-/// [`Message::StateTransfer`] during hierarchy reconfiguration (a
-/// server joining or leaving the tree): the registration info the
-/// paper keeps persistent plus the volatile sighting, when the source
-/// still holds one (a freshly restarted source may not — the target
-/// then restores it on demand, §5).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TransferRecord {
-    /// The transferred object.
-    pub oid: ObjectId,
-    /// Registration info (`v.regInfo`), moved verbatim.
-    pub reg: RegInfo,
-    /// Accuracy the source offered (the target renegotiates against
-    /// its own sensor floor and notifies the registrant on change).
-    pub offered_acc_m: f64,
-    /// The source's current sighting, when one exists.
-    pub sighting: Option<Sighting>,
-}
-
-/// A protocol message.
-///
-/// All positions are in the deployment's local planar frame; the
-/// geographic WGS84 boundary lives in the client API.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Message {
-    // ------------------------------------------------------ registration
-    /// `registerReq(s, desAcc, minAcc, regInst)` — routed through the
-    /// hierarchy to the leaf responsible for `sighting.pos`.
-    RegisterReq {
-        /// Initial sighting of the object to register.
-        sighting: Sighting,
-        /// Desired accuracy in meters.
-        des_acc_m: f64,
-        /// Minimal acceptable accuracy in meters.
-        min_acc_m: f64,
-        /// Declared maximum speed (m/s), used for accuracy ageing.
-        max_speed_mps: f64,
-        /// The registering instance, to receive the response.
-        registrant: Endpoint,
-        /// Correlation id.
-        corr: CorrId,
-    },
-    /// `registerRes(self, offeredAcc)` — sent by the new agent leaf.
-    RegisterRes {
-        /// The agent (leaf) server now tracking the object.
-        agent: ServerId,
-        /// Accuracy the service offers.
-        offered_acc_m: f64,
-        /// Correlation id.
-        corr: CorrId,
-    },
-    /// `registerFailed(self, acc)` — the accuracy range is unachievable.
-    RegisterFailed {
-        /// The rejecting server.
-        server: ServerId,
-        /// Best accuracy the server could achieve.
-        achievable_m: f64,
-        /// Correlation id.
-        corr: CorrId,
-    },
-    /// `createPath(oId)` — builds the forwarding path leaf→root;
-    /// receivers set the forwarding reference to the envelope sender.
-    CreatePath {
-        /// The newly registered object.
-        oid: ObjectId,
-        /// Path-change stamp (hybrid logical clock) guarding against
-        /// stale create/remove races.
-        epoch: Hlc,
-    },
-
-    // ------------------------------------------------ update & handover
-    /// `update(s)` — a position update from a tracked object (or
-    /// stationary tracking system) to its agent.
-    UpdateReq {
-        /// The new sighting.
-        sighting: Sighting,
-    },
-    /// Acknowledgement of an update (the paper measures updates "with
-    /// ACK" in Table 2).
-    UpdateAck {
-        /// The updated object.
-        oid: ObjectId,
-        /// Currently offered accuracy.
-        offered_acc_m: f64,
-        /// Server time of the acknowledgement.
-        time_us: Micros,
-    },
-    /// A registrant's position updates coalesced into one datagram —
-    /// the batched update protocol of §7's discussion (a stationary
-    /// tracking system or gateway reports many tracked objects at
-    /// once). The leaf applies every sighting, amortizing WAL syncs
-    /// across the batch (group commit), and coalesces the plain acks
-    /// into a single [`Message::UpdateBatchAck`]; handovers and
-    /// deregistrations still produce their individual messages.
-    UpdateBatch {
-        /// The batched sightings, applied in order.
-        sightings: Vec<Sighting>,
-        /// Correlation id, echoed by the batch ack.
-        corr: CorrId,
-    },
-    /// The coalesced acknowledgement for a [`Message::UpdateBatch`]:
-    /// one `(object, offered accuracy)` pair per sighting that was
-    /// applied in place by this agent.
-    UpdateBatchAck {
-        /// Acknowledged objects with their currently offered accuracy.
-        acks: Vec<(ObjectId, f64)>,
-        /// Server time of the acknowledgement.
-        time_us: Micros,
-        /// Correlation id of the batch.
-        corr: CorrId,
-    },
-    /// `handoverReq(s, regInfo)` — tracking responsibility transfer,
-    /// routed to the leaf containing the new position.
-    HandoverReq {
-        /// The sighting that left the old agent's area.
-        sighting: Sighting,
-        /// Registration info, moved to the new agent.
-        reg: RegInfo,
-        /// Path-change stamp.
-        epoch: Hlc,
-        /// Correlation id (allocated by the old agent).
-        corr: CorrId,
-    },
-    /// `handoverRes(lsnew, acc)` — travels back along the request path,
-    /// splicing the forwarding pointers.
-    HandoverRes {
-        /// The object being handed over.
-        oid: ObjectId,
-        /// The new agent leaf.
-        new_agent: ServerId,
-        /// Accuracy offered by the new agent.
-        offered_acc_m: f64,
-        /// Path-change stamp.
-        epoch: Hlc,
-        /// Correlation id.
-        corr: CorrId,
-    },
-    /// The old agent rejects/aborts a handover: the object moved outside
-    /// the root service area and is deregistered (paper §4: "tracked
-    /// objects that move out of the service area are automatically
-    /// deregistered").
-    HandoverFailed {
-        /// The object.
-        oid: ObjectId,
-        /// Path-change stamp.
-        epoch: Hlc,
-        /// Correlation id.
-        corr: CorrId,
-    },
-    /// The old agent informs the tracked object of its new agent.
-    AgentChanged {
-        /// The object.
-        oid: ObjectId,
-        /// Its new agent leaf.
-        new_agent: ServerId,
-        /// Accuracy offered by the new agent.
-        offered_acc_m: f64,
-    },
-    /// The object left the service area entirely and was deregistered.
-    OutOfServiceArea {
-        /// The object.
-        oid: ObjectId,
-    },
-
-    // --------------------------------------- deregistration & soft state
-    /// `deregister(o)` — explicit deregistration at the agent.
-    DeregisterReq {
-        /// The object to forget.
-        oid: ObjectId,
-    },
-    /// Removes the forwarding path leaf→root (deregistration or
-    /// soft-state expiry). Guarded by `epoch` against racing re-paths.
-    RemovePath {
-        /// The object.
-        oid: ObjectId,
-        /// Path-change stamp of the removal.
-        epoch: Hlc,
-    },
-
-    // ------------------------------------------------ accuracy management
-    /// `changeAcc(o, desAcc, minAcc)` — renegotiate the accuracy range.
-    ChangeAccReq {
-        /// The object.
-        oid: ObjectId,
-        /// New desired accuracy.
-        des_acc_m: f64,
-        /// New minimal acceptable accuracy.
-        min_acc_m: f64,
-        /// Correlation id.
-        corr: CorrId,
-    },
-    /// Response to [`Message::ChangeAccReq`].
-    ChangeAccRes {
-        /// The object.
-        oid: ObjectId,
-        /// Whether the new range is achievable (and now in effect).
-        ok: bool,
-        /// The offered accuracy after the change.
-        offered_acc_m: f64,
-        /// Correlation id.
-        corr: CorrId,
-    },
-    /// `notifyAvailAcc()` — unsolicited notification that the offered
-    /// accuracy changed (e.g. after a handover to a leaf with different
-    /// sensor infrastructure).
-    NotifyAvailAcc {
-        /// The object.
-        oid: ObjectId,
-        /// The now-offered accuracy.
-        offered_acc_m: f64,
-    },
-
-    // ----------------------------------------------------- position query
-    /// `posQuery(o)` from a client to its entry server.
-    PosQueryReq {
-        /// The queried object.
-        oid: ObjectId,
-        /// Correlation id.
-        corr: CorrId,
-    },
-    /// `posQueryFwd(oId, lse)` — routed via forwarding pointers.
-    PosQueryFwd {
-        /// The queried object.
-        oid: ObjectId,
-        /// The entry server awaiting the answer.
-        entry: ServerId,
-        /// True when the entry contacted a cached agent directly
-        /// (cache miss then falls back to the hierarchy) — §6.5.
-        direct: bool,
-        /// Correlation id.
-        corr: CorrId,
-    },
-    /// `posQueryRes(ld)` — the answer, sent to the entry server (or the
-    /// client). `found = None` means the object is unknown.
-    PosQueryRes {
-        /// The queried object.
-        oid: ObjectId,
-        /// The location descriptor, when the object is tracked.
-        found: Option<LocationDescriptor>,
-        /// Sighting timestamp backing the descriptor (0 when unknown) —
-        /// lets caches age the accuracy.
-        time_us: Micros,
-        /// The object's declared maximum speed (0 when unknown).
-        max_speed_mps: f64,
-        /// Correlation id.
-        corr: CorrId,
-    },
-    /// A directly-contacted leaf no longer tracks the object (stale
-    /// agent cache): the entry falls back to hierarchy routing.
-    PosQueryMiss {
-        /// The queried object.
-        oid: ObjectId,
-        /// Correlation id.
-        corr: CorrId,
-    },
-
-    // -------------------------------------------------------- range query
-    /// `rangeQuery(a, reqAcc, reqOverlap)` from a client.
-    RangeQueryReq {
-        /// The query parameters.
-        query: RangeQuery,
-        /// Correlation id.
-        corr: CorrId,
-    },
-    /// `rangeQueryFwd(area, reqAcc, reqOverlap, lse)` — scattered
-    /// through the hierarchy to all overlapping leaves.
-    RangeQueryFwd {
-        /// The query parameters.
-        query: RangeQuery,
-        /// The entry server collecting the partial results.
-        entry: ServerId,
-        /// Correlation id.
-        corr: CorrId,
-    },
-    /// `rangeQuerySubRes(objs, a)` — one leaf's partial result, sent
-    /// directly to the entry server. Carries the leaf's service area so
-    /// entry servers can populate their area caches (§6.5: "the
-    /// originator of the message includes a specification of its (leaf)
-    /// service area").
-    RangeQuerySubRes {
-        /// Qualifying `(object, descriptor)` pairs at this leaf.
-        items: Vec<ObjectLocation>,
-        /// Area (m²) of `Enlarge(query area) ∩ leaf area` — the portion
-        /// of the query this sub-result covers.
-        covered_area_m2: f64,
-        /// The answering leaf.
-        leaf: ServerId,
-        /// The answering leaf's service area (cache food).
-        leaf_area: Rect,
-        /// Correlation id.
-        corr: CorrId,
-    },
-    /// `rangeQueryRes(objects)` — the collected answer to the client.
-    RangeQueryRes {
-        /// All qualifying `(object, descriptor)` pairs.
-        items: Vec<ObjectLocation>,
-        /// False when the gather timed out (partial answer).
-        complete: bool,
-        /// Correlation id.
-        corr: CorrId,
-    },
-
-    // -------------------------------------------------- nearest neighbor
-    /// `neighborQuery(p, reqAcc, nearQual)` from a client.
-    ///
-    /// The paper defines the semantics (§3.2) but no distributed
-    /// algorithm; hiloc uses an expanding-ring scatter (DESIGN.md §3).
-    NeighborQueryReq {
-        /// The queried position.
-        p: Point,
-        /// Accuracy threshold.
-        req_acc_m: f64,
-        /// Near-set qualification distance.
-        near_qual_m: f64,
-        /// Correlation id.
-        corr: CorrId,
-    },
-    /// Ring scatter: collect candidates within `radius_m` of `p`.
-    NeighborQueryFwd {
-        /// The queried position.
-        p: Point,
-        /// Accuracy threshold.
-        req_acc_m: f64,
-        /// Current search radius.
-        radius_m: f64,
-        /// The entry server gathering candidates.
-        entry: ServerId,
-        /// Correlation id.
-        corr: CorrId,
-    },
-    /// A leaf's candidates within the ring.
-    NeighborQuerySubRes {
-        /// Candidates (center within the ring, accuracy qualified).
-        items: Vec<ObjectLocation>,
-        /// Covered portion (m²) of the ring's bounding box.
-        covered_area_m2: f64,
-        /// The answering leaf.
-        leaf: ServerId,
-        /// The answering leaf's service area (cache food).
-        leaf_area: Rect,
-        /// Correlation id.
-        corr: CorrId,
-    },
-    /// The nearest-neighbor answer to the client.
-    NeighborQueryRes {
-        /// The selected nearest object.
-        nearest: Option<ObjectLocation>,
-        /// Qualified objects within `nearQual` of the nearest.
-        near_set: Vec<ObjectLocation>,
-        /// False when the gather timed out.
-        complete: bool,
-        /// Correlation id.
-        corr: CorrId,
-    },
-
-    // ------------------------------------------------------------ events
-    /// Registers a predicate (paper §8 future work).
-    EventRegisterReq {
-        /// The predicate to watch.
-        predicate: Predicate,
-        /// Correlation id.
-        corr: CorrId,
-    },
-    /// Acknowledges an event registration with its id.
-    EventRegisterRes {
-        /// The allocated event id.
-        event_id: u64,
-        /// Correlation id.
-        corr: CorrId,
-    },
-    /// Installs an observer at a leaf (scattered like a range query).
-    EventInstall {
-        /// The event id.
-        event_id: u64,
-        /// The coordinating server (receives local reports).
-        coordinator: ServerId,
-        /// The predicate to observe.
-        predicate: Predicate,
-    },
-    /// Removes an observer from a leaf.
-    EventUninstall {
-        /// The event id.
-        event_id: u64,
-    },
-    /// A leaf's membership report to the coordinator.
-    EventLocalReport {
-        /// The event id.
-        event_id: u64,
-        /// The reporting leaf.
-        leaf: ServerId,
-        /// Members currently in the watched area at this leaf.
-        count: u32,
-        /// Objects that entered since the last report.
-        entered: Vec<ObjectId>,
-        /// Objects that left since the last report.
-        left: Vec<ObjectId>,
-    },
-    /// An event notification to the subscriber.
-    EventNotify {
-        /// The event id.
-        event_id: u64,
-        /// What happened.
-        kind: EventKind,
-    },
-    /// Cancels an event registration.
-    EventCancelReq {
-        /// The event id.
-        event_id: u64,
-    },
-
-    // ------------------------------------------------- restore-on-demand
-    /// A recovering leaf asks a visitor for a fresh position update
-    /// (paper §5: "persistent registration information also allows a
-    /// location server to ask a visitor for a position update to restore
-    /// its position information … after system restart").
-    PositionProbe {
-        /// The object asked to report.
-        oid: ObjectId,
-    },
-    /// A server that received an update for an object it no longer
-    /// tracks (the object's `AgentChanged` was lost) routes this along
-    /// the forwarding paths; the current agent answers the object with
-    /// a fresh `AgentChanged`. Robustness extension beyond the paper's
-    /// pseudocode, required for UDP deployments.
-    AgentLookup {
-        /// The object whose agent is sought.
-        oid: ObjectId,
-        /// The tracked object's endpoint (receives the answer).
-        object: Endpoint,
-    },
-
-    // --------------------------------------- hierarchy reconfiguration
-    //
-    // The paper's tree is static (§4); these messages implement live
-    // reshaping: a joining server receives the visitor records its new
-    // area covers from the sibling it split (bulk handover), a leaving
-    // server drains everything to the sibling absorbing its area, and
-    // a root successor rebuilds its forwarding table from its children.
-    /// Bulk visitor handover from a source leaf to a sibling leaf
-    /// during a join (the source's area was split) or a leave (the
-    /// source drains before detaching). The target applies the whole
-    /// batch as **one atomic WAL record**, re-asserts each forwarding
-    /// path (`createPath` with `epoch`), and acks; the source keeps
-    /// answering for the records — and retries on a timer — until the
-    /// ack arrives, then deletes its copies under the same epoch guard.
-    StateTransfer {
-        /// The transferred visitors.
-        records: Vec<TransferRecord>,
-        /// Path-change stamp of the transfer: stale replays lose
-        /// against any newer per-object path change (handover or
-        /// re-registration) on both sides.
-        epoch: Hlc,
-        /// Correlation id, identifying the transfer across retries.
-        corr: CorrId,
-    },
-    /// The target durably applied a [`Message::StateTransfer`].
-    StateTransferAck {
-        /// Records accepted (stale ones are counted out but still
-        /// acknowledged — the source's epoch guard skips them too).
-        accepted: u32,
-        /// Echo of the acknowledged transfer's stamp: the source's
-        /// removal guard must use the stamp of the send this ack
-        /// answers, not its latest — a delayed ack for an earlier
-        /// send must not delete records that changed since.
-        epoch: Hlc,
-        /// Correlation id of the transfer.
-        corr: CorrId,
-    },
-    /// A promoted root successor asks a child for a chunk of the
-    /// visitors reachable through it, to rebuild its forwarding table
-    /// without waiting a full keep-alive period. Chunked as a cursor
-    /// pull: `after` names the last object already received (`None`
-    /// starts the scan), and the child answers with the next chunk in
-    /// object-id order.
-    PathSyncReq {
-        /// Resume cursor: only records with ids strictly greater are
-        /// returned.
-        after: Option<ObjectId>,
-        /// Correlation id.
-        corr: CorrId,
-    },
-    /// A child's answer to [`Message::PathSyncReq`]: the next chunk
-    /// of objects it has records for, with each record's path-change
-    /// stamp. The new root installs a forwarding reference per entry
-    /// (epoch-guarded) and pulls again from the last id until `done`.
-    PathSyncRes {
-        /// `(object, record stamp)` pairs, ascending by object id.
-        entries: Vec<(ObjectId, Hlc)>,
-        /// True when no records remain past this chunk.
-        done: bool,
-        /// Correlation id.
-        corr: CorrId,
-    },
-
-    // ------------------------------------------------------- replication
-    /// A batch of forwarding-table / visitor-record deltas streamed to
-    /// a warm standby (roots and mid-nodes) or to a sibling replica
-    /// leaf (k=2 leaf replication). Exactly one batch per stream is in
-    /// flight; the source retries it with backoff (like
-    /// [`Message::StateTransfer`]) until the ack arrives, and every
-    /// record is HLC-guarded at the receiver, so replayed batches are
-    /// idempotent.
-    FwdDelta {
-        /// Stream id (the designation stamp's raw bits): a receiver
-        /// ignores batches from a stream it was never attached to, so
-        /// deltas from a deposed source cannot corrupt a fresh stream.
-        stream: u64,
-        /// Batch sequence number within the stream (diagnostic; the
-        /// per-record stamps carry the ordering).
-        seq: u64,
-        /// True when the receiver holds these as leaf *replica*
-        /// records (side table serving bounded-staleness reads)
-        /// rather than adopting them into its own visitor table.
-        replica: bool,
-        /// The batched deltas.
-        records: Vec<DeltaRecord>,
-        /// Correlation id, identifying the batch across retries.
-        corr: CorrId,
-    },
-    /// The receiver durably applied a [`Message::FwdDelta`] batch.
-    FwdDeltaAck {
-        /// Echo of the batch's stream id.
-        stream: u64,
-        /// Echo of the batch's sequence number.
-        seq: u64,
-        /// Records accepted (stale ones are counted out but still
-        /// acknowledged — the sender's watermark keeps the stamp it
-        /// sent either way).
-        applied: u32,
-        /// Correlation id of the batch.
-        corr: CorrId,
-    },
-}
-
-/// One replicated record change inside a [`Message::FwdDelta`] batch.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DeltaRecord {
-    /// The object whose record changed.
-    pub oid: ObjectId,
-    /// The change itself.
-    pub body: DeltaBody,
-}
-
-/// What a [`DeltaRecord`] replicates. Every variant carries the HLC
-/// stamp that arbitrates it at the receiver: apply iff not older than
-/// the copy already held (ties resolve by the stamp's node id, so
-/// every replica picks the same winner).
-#[derive(Debug, Clone, PartialEq)]
-pub enum DeltaBody {
-    /// A non-leaf forwarding reference (standby streams).
-    Forward {
-        /// The next-hop child server.
-        child: ServerId,
-        /// The record's path-change stamp.
-        epoch: Hlc,
-    },
-    /// A leaf visitor record plus its current sighting (replica
-    /// streams) — everything a sibling needs to serve a
-    /// bounded-staleness position read or adopt the record on
-    /// failover.
-    Leaf {
-        /// Registration info.
-        reg: RegInfo,
-        /// Accuracy the agent currently offers.
-        offered_acc_m: f64,
-        /// The record's path-change stamp.
-        epoch: Hlc,
-        /// The agent's current sighting, when one exists.
-        sighting: Option<Sighting>,
-    },
-    /// The record was removed (deregistration, handover away,
-    /// soft-state expiry).
-    Remove {
-        /// Stamp of the removal.
-        epoch: Hlc,
-    },
-}
-
-impl Message {
-    /// A short static label for tracing (message kind).
-    pub fn label(&self) -> &'static str {
-        match self {
-            Message::RegisterReq { .. } => "registerReq",
-            Message::RegisterRes { .. } => "registerRes",
-            Message::RegisterFailed { .. } => "registerFailed",
-            Message::CreatePath { .. } => "createPath",
-            Message::UpdateReq { .. } => "update",
-            Message::UpdateAck { .. } => "updateAck",
-            Message::UpdateBatch { .. } => "updateBatch",
-            Message::UpdateBatchAck { .. } => "updateBatchAck",
-            Message::HandoverReq { .. } => "handoverReq",
-            Message::HandoverRes { .. } => "handoverRes",
-            Message::HandoverFailed { .. } => "handoverFailed",
-            Message::AgentChanged { .. } => "agentChanged",
-            Message::OutOfServiceArea { .. } => "outOfServiceArea",
-            Message::DeregisterReq { .. } => "deregister",
-            Message::RemovePath { .. } => "removePath",
-            Message::ChangeAccReq { .. } => "changeAccReq",
-            Message::ChangeAccRes { .. } => "changeAccRes",
-            Message::NotifyAvailAcc { .. } => "notifyAvailAcc",
-            Message::PosQueryReq { .. } => "posQueryReq",
-            Message::PosQueryFwd { .. } => "posQueryFwd",
-            Message::PosQueryRes { .. } => "posQueryRes",
-            Message::PosQueryMiss { .. } => "posQueryMiss",
-            Message::RangeQueryReq { .. } => "rangeQueryReq",
-            Message::RangeQueryFwd { .. } => "rangeQueryFwd",
-            Message::RangeQuerySubRes { .. } => "rangeQuerySubRes",
-            Message::RangeQueryRes { .. } => "rangeQueryRes",
-            Message::NeighborQueryReq { .. } => "neighborQueryReq",
-            Message::NeighborQueryFwd { .. } => "neighborQueryFwd",
-            Message::NeighborQuerySubRes { .. } => "neighborQuerySubRes",
-            Message::NeighborQueryRes { .. } => "neighborQueryRes",
-            Message::EventRegisterReq { .. } => "eventRegisterReq",
-            Message::EventRegisterRes { .. } => "eventRegisterRes",
-            Message::EventInstall { .. } => "eventInstall",
-            Message::EventUninstall { .. } => "eventUninstall",
-            Message::EventLocalReport { .. } => "eventLocalReport",
-            Message::EventNotify { .. } => "eventNotify",
-            Message::EventCancelReq { .. } => "eventCancelReq",
-            Message::PositionProbe { .. } => "positionProbe",
-            Message::AgentLookup { .. } => "agentLookup",
-            Message::StateTransfer { .. } => "stateTransfer",
-            Message::StateTransferAck { .. } => "stateTransferAck",
-            Message::PathSyncReq { .. } => "pathSyncReq",
-            Message::PathSyncRes { .. } => "pathSyncRes",
-            Message::FwdDelta { .. } => "fwdDelta",
-            Message::FwdDeltaAck { .. } => "fwdDeltaAck",
-        }
+wire_struct! {
+    /// One visitor's complete agent-side state, moved by a bulk
+    /// [`Message::StateTransfer`] during hierarchy reconfiguration (a
+    /// server joining or leaving the tree): the registration info the
+    /// paper keeps persistent plus the volatile sighting, when the source
+    /// still holds one (a freshly restarted source may not — the target
+    /// then restores it on demand, §5).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct TransferRecord {
+        /// The transferred object.
+        pub oid: ObjectId,
+        /// Registration info (`v.regInfo`), moved verbatim.
+        pub reg: RegInfo,
+        /// Accuracy the source offered (the target renegotiates against
+        /// its own sensor floor and notifies the registrant on change).
+        pub offered_acc_m: f64 where accuracy,
+        /// The source's current sighting, when one exists.
+        pub sighting: Option<Sighting>,
     }
 }
 
-// ----------------------------------------------------------- exact sizes
-//
-// One helper per composite field, mirroring its `put_*` twin below: the
-// `message_sizes_are_exact` test locks every pair together, so a codec
-// change that forgets its size twin fails immediately.
+wire_enum! {
+    /// A protocol message.
+    ///
+    /// All positions are in the deployment's local planar frame; the
+    /// geographic WGS84 boundary lives in the client API.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Message {
+        // ------------------------------------------------------ registration
+        /// `registerReq(s, desAcc, minAcc, regInst)` — routed through the
+        /// hierarchy to the leaf responsible for `sighting.pos`.
+        RegisterReq = 1, "registerReq" {
+            /// Initial sighting of the object to register.
+            sighting: Sighting,
+            /// Desired accuracy in meters.
+            des_acc_m: f64,
+            /// Minimal acceptable accuracy in meters.
+            min_acc_m: f64,
+            /// Declared maximum speed (m/s), used for accuracy ageing.
+            max_speed_mps: f64,
+            /// The registering instance, to receive the response.
+            registrant: Endpoint,
+            /// Correlation id.
+            corr: CorrId,
+        },
+        /// `registerRes(self, offeredAcc)` — sent by the new agent leaf.
+        RegisterRes = 2, "registerRes" {
+            /// The agent (leaf) server now tracking the object.
+            agent: ServerId,
+            /// Accuracy the service offers.
+            offered_acc_m: f64,
+            /// Correlation id.
+            corr: CorrId,
+        },
+        /// `registerFailed(self, acc)` — the accuracy range is unachievable.
+        RegisterFailed = 3, "registerFailed" {
+            /// The rejecting server.
+            server: ServerId,
+            /// Best accuracy the server could achieve.
+            achievable_m: f64,
+            /// Correlation id.
+            corr: CorrId,
+        },
+        /// `createPath(oId)` — builds the forwarding path leaf→root;
+        /// receivers set the forwarding reference to the envelope sender.
+        CreatePath = 4, "createPath" {
+            /// The newly registered object.
+            oid: ObjectId,
+            /// Path-change stamp (hybrid logical clock) guarding against
+            /// stale create/remove races.
+            epoch: Hlc,
+        },
 
-const OID_LEN: usize = 8;
-const SERVER_LEN: usize = 4;
-const CORR_LEN: usize = 8;
-const SIGHTING_LEN: usize = OID_LEN + 8 + 16 + 8;
-const REG_LEN: usize = wire::ENDPOINT_LEN + 8 + 8 + 8;
-const LD_LEN: usize = 16 + 8;
+        // ------------------------------------------------ update & handover
+        /// `update(s)` — a position update from a tracked object (or
+        /// stationary tracking system) to its agent.
+        UpdateReq = 5, "update" {
+            /// The new sighting.
+            sighting: Sighting,
+        },
+        /// Acknowledgement of an update (the paper measures updates "with
+        /// ACK" in Table 2).
+        UpdateAck = 6, "updateAck" {
+            /// The updated object.
+            oid: ObjectId,
+            /// Currently offered accuracy.
+            offered_acc_m: f64,
+            /// Server time of the acknowledgement.
+            time_us: Micros,
+        },
+        /// A registrant's position updates coalesced into one datagram —
+        /// the batched update protocol of §7's discussion (a stationary
+        /// tracking system or gateway reports many tracked objects at
+        /// once). The leaf applies every sighting, amortizing WAL syncs
+        /// across the batch (group commit), and coalesces the plain acks
+        /// into a single [`Message::UpdateBatchAck`]; handovers and
+        /// deregistrations still produce their individual messages.
+        UpdateBatch = 38, "updateBatch" {
+            /// The batched sightings, applied in order.
+            sightings: Vec<Sighting>,
+            /// Correlation id, echoed by the batch ack.
+            corr: CorrId,
+        },
+        /// The coalesced acknowledgement for a [`Message::UpdateBatch`]:
+        /// one `(object, offered accuracy)` pair per sighting that was
+        /// applied in place by this agent.
+        UpdateBatchAck = 39, "updateBatchAck" {
+            /// Acknowledged objects with their currently offered accuracy.
+            acks: Vec<(ObjectId, f64)>,
+            /// Server time of the acknowledgement.
+            time_us: Micros,
+            /// Correlation id of the batch.
+            corr: CorrId,
+        },
+        /// `handoverReq(s, regInfo)` — tracking responsibility transfer,
+        /// routed to the leaf containing the new position.
+        HandoverReq = 7, "handoverReq" {
+            /// The sighting that left the old agent's area.
+            sighting: Sighting,
+            /// Registration info, moved to the new agent.
+            reg: RegInfo,
+            /// Path-change stamp.
+            epoch: Hlc,
+            /// Correlation id (allocated by the old agent).
+            corr: CorrId,
+        },
+        /// `handoverRes(lsnew, acc)` — travels back along the request path,
+        /// splicing the forwarding pointers.
+        HandoverRes = 8, "handoverRes" {
+            /// The object being handed over.
+            oid: ObjectId,
+            /// The new agent leaf.
+            new_agent: ServerId,
+            /// Accuracy offered by the new agent.
+            offered_acc_m: f64,
+            /// Path-change stamp.
+            epoch: Hlc,
+            /// Correlation id.
+            corr: CorrId,
+        },
+        /// The old agent rejects/aborts a handover: the object moved outside
+        /// the root service area and is deregistered (paper §4: "tracked
+        /// objects that move out of the service area are automatically
+        /// deregistered").
+        HandoverFailed = 9, "handoverFailed" {
+            /// The object.
+            oid: ObjectId,
+            /// Path-change stamp.
+            epoch: Hlc,
+            /// Correlation id.
+            corr: CorrId,
+        },
+        /// The old agent informs the tracked object of its new agent.
+        AgentChanged = 10, "agentChanged" {
+            /// The object.
+            oid: ObjectId,
+            /// Its new agent leaf.
+            new_agent: ServerId,
+            /// Accuracy offered by the new agent.
+            offered_acc_m: f64,
+        },
+        /// The object left the service area entirely and was deregistered.
+        OutOfServiceArea = 11, "outOfServiceArea" {
+            /// The object.
+            oid: ObjectId,
+        },
 
-fn opt_ld_len(ld: &Option<LocationDescriptor>) -> usize {
-    1 + ld.map(|_| LD_LEN).unwrap_or(0)
+        // --------------------------------------- deregistration & soft state
+        /// `deregister(o)` — explicit deregistration at the agent.
+        DeregisterReq = 12, "deregister" {
+            /// The object to forget.
+            oid: ObjectId,
+        },
+        /// Removes the forwarding path leaf→root (deregistration or
+        /// soft-state expiry). Guarded by `epoch` against racing re-paths.
+        RemovePath = 13, "removePath" {
+            /// The object.
+            oid: ObjectId,
+            /// Path-change stamp of the removal.
+            epoch: Hlc,
+        },
+
+        // ------------------------------------------------ accuracy management
+        /// `changeAcc(o, desAcc, minAcc)` — renegotiate the accuracy range.
+        ChangeAccReq = 14, "changeAccReq" {
+            /// The object.
+            oid: ObjectId,
+            /// New desired accuracy.
+            des_acc_m: f64,
+            /// New minimal acceptable accuracy.
+            min_acc_m: f64,
+            /// Correlation id.
+            corr: CorrId,
+        },
+        /// Response to [`Message::ChangeAccReq`].
+        ChangeAccRes = 15, "changeAccRes" {
+            /// The object.
+            oid: ObjectId,
+            /// Whether the new range is achievable (and now in effect).
+            ok: bool,
+            /// The offered accuracy after the change.
+            offered_acc_m: f64,
+            /// Correlation id.
+            corr: CorrId,
+        },
+        /// `notifyAvailAcc()` — unsolicited notification that the offered
+        /// accuracy changed (e.g. after a handover to a leaf with different
+        /// sensor infrastructure).
+        NotifyAvailAcc = 16, "notifyAvailAcc" {
+            /// The object.
+            oid: ObjectId,
+            /// The now-offered accuracy.
+            offered_acc_m: f64,
+        },
+
+        // ----------------------------------------------------- position query
+        /// `posQuery(o)` from a client to its entry server.
+        PosQueryReq = 17, "posQueryReq" {
+            /// The queried object.
+            oid: ObjectId,
+            /// Correlation id.
+            corr: CorrId,
+        },
+        /// `posQueryFwd(oId, lse)` — routed via forwarding pointers.
+        PosQueryFwd = 18, "posQueryFwd" {
+            /// The queried object.
+            oid: ObjectId,
+            /// The entry server awaiting the answer.
+            entry: ServerId,
+            /// True when the entry contacted a cached agent directly
+            /// (cache miss then falls back to the hierarchy) — §6.5.
+            direct: bool,
+            /// Correlation id.
+            corr: CorrId,
+        },
+        /// `posQueryRes(ld)` — the answer, sent to the entry server (or the
+        /// client). `found = None` means the object is unknown.
+        PosQueryRes = 19, "posQueryRes" {
+            /// The queried object.
+            oid: ObjectId,
+            /// The location descriptor, when the object is tracked.
+            found: Option<LocationDescriptor>,
+            /// Sighting timestamp backing the descriptor (0 when unknown) —
+            /// lets caches age the accuracy.
+            time_us: Micros,
+            /// The object's declared maximum speed (0 when unknown).
+            max_speed_mps: f64,
+            /// Correlation id.
+            corr: CorrId,
+        },
+        /// A directly-contacted leaf no longer tracks the object (stale
+        /// agent cache): the entry falls back to hierarchy routing.
+        PosQueryMiss = 20, "posQueryMiss" {
+            /// The queried object.
+            oid: ObjectId,
+            /// Correlation id.
+            corr: CorrId,
+        },
+
+        // -------------------------------------------------------- range query
+        /// `rangeQuery(a, reqAcc, reqOverlap)` from a client.
+        RangeQueryReq = 21, "rangeQueryReq" {
+            /// The query parameters.
+            query: RangeQuery,
+            /// Correlation id.
+            corr: CorrId,
+        },
+        /// `rangeQueryFwd(area, reqAcc, reqOverlap, lse)` — scattered
+        /// through the hierarchy to all overlapping leaves.
+        RangeQueryFwd = 22, "rangeQueryFwd" {
+            /// The query parameters.
+            query: RangeQuery,
+            /// The entry server collecting the partial results.
+            entry: ServerId,
+            /// Correlation id.
+            corr: CorrId,
+        },
+        /// `rangeQuerySubRes(objs, a)` — one leaf's partial result, sent
+        /// directly to the entry server. Carries the leaf's service area so
+        /// entry servers can populate their area caches (§6.5: "the
+        /// originator of the message includes a specification of its (leaf)
+        /// service area").
+        RangeQuerySubRes = 23, "rangeQuerySubRes" {
+            /// Qualifying `(object, descriptor)` pairs at this leaf.
+            items: Vec<ObjectLocation>,
+            /// Area (m²) of `Enlarge(query area) ∩ leaf area` — the portion
+            /// of the query this sub-result covers.
+            covered_area_m2: f64,
+            /// The answering leaf.
+            leaf: ServerId,
+            /// The answering leaf's service area (cache food).
+            leaf_area: Rect,
+            /// Correlation id.
+            corr: CorrId,
+        },
+        /// `rangeQueryRes(objects)` — the collected answer to the client.
+        RangeQueryRes = 24, "rangeQueryRes" {
+            /// All qualifying `(object, descriptor)` pairs.
+            items: Vec<ObjectLocation>,
+            /// False when the gather timed out (partial answer).
+            complete: bool,
+            /// Correlation id.
+            corr: CorrId,
+        },
+
+        // -------------------------------------------------- nearest neighbor
+        /// `neighborQuery(p, reqAcc, nearQual)` from a client.
+        ///
+        /// The paper defines the semantics (§3.2) but no distributed
+        /// algorithm; hiloc uses an expanding-ring scatter (DESIGN.md §3).
+        NeighborQueryReq = 25, "neighborQueryReq" {
+            /// The queried position.
+            p: Point,
+            /// Accuracy threshold.
+            req_acc_m: f64,
+            /// Near-set qualification distance.
+            near_qual_m: f64,
+            /// Correlation id.
+            corr: CorrId,
+        },
+        /// Ring scatter: collect candidates within `radius_m` of `p`.
+        NeighborQueryFwd = 26, "neighborQueryFwd" {
+            /// The queried position.
+            p: Point,
+            /// Accuracy threshold.
+            req_acc_m: f64,
+            /// Current search radius.
+            radius_m: f64,
+            /// The entry server gathering candidates.
+            entry: ServerId,
+            /// Correlation id.
+            corr: CorrId,
+        },
+        /// A leaf's candidates within the ring.
+        NeighborQuerySubRes = 27, "neighborQuerySubRes" {
+            /// Candidates (center within the ring, accuracy qualified).
+            items: Vec<ObjectLocation>,
+            /// Covered portion (m²) of the ring's bounding box.
+            covered_area_m2: f64,
+            /// The answering leaf.
+            leaf: ServerId,
+            /// The answering leaf's service area (cache food).
+            leaf_area: Rect,
+            /// Correlation id.
+            corr: CorrId,
+        },
+        /// The nearest-neighbor answer to the client.
+        NeighborQueryRes = 28, "neighborQueryRes" {
+            /// The selected nearest object.
+            nearest: Option<ObjectLocation>,
+            /// Qualified objects within `nearQual` of the nearest.
+            near_set: Vec<ObjectLocation>,
+            /// False when the gather timed out.
+            complete: bool,
+            /// Correlation id.
+            corr: CorrId,
+        },
+
+        // ------------------------------------------------------------ events
+        /// Registers a predicate (paper §8 future work).
+        EventRegisterReq = 29, "eventRegisterReq" {
+            /// The predicate to watch.
+            predicate: Predicate,
+            /// Correlation id.
+            corr: CorrId,
+        },
+        /// Acknowledges an event registration with its id.
+        EventRegisterRes = 30, "eventRegisterRes" {
+            /// The allocated event id.
+            event_id: u64,
+            /// Correlation id.
+            corr: CorrId,
+        },
+        /// Installs an observer at a leaf (scattered like a range query).
+        EventInstall = 31, "eventInstall" {
+            /// The event id.
+            event_id: u64,
+            /// The coordinating server (receives local reports).
+            coordinator: ServerId,
+            /// The predicate to observe.
+            predicate: Predicate,
+        },
+        /// Removes an observer from a leaf.
+        EventUninstall = 32, "eventUninstall" {
+            /// The event id.
+            event_id: u64,
+        },
+        /// A leaf's membership report to the coordinator.
+        EventLocalReport = 33, "eventLocalReport" {
+            /// The event id.
+            event_id: u64,
+            /// The reporting leaf.
+            leaf: ServerId,
+            /// Members currently in the watched area at this leaf.
+            count: u32,
+            /// Objects that entered since the last report.
+            entered: Vec<ObjectId>,
+            /// Objects that left since the last report.
+            left: Vec<ObjectId>,
+        },
+        /// An event notification to the subscriber.
+        EventNotify = 34, "eventNotify" {
+            /// The event id.
+            event_id: u64,
+            /// What happened.
+            kind: EventKind,
+        },
+        /// Cancels an event registration.
+        EventCancelReq = 35, "eventCancelReq" {
+            /// The event id.
+            event_id: u64,
+        },
+
+        // ------------------------------------------------- restore-on-demand
+        /// A recovering leaf asks a visitor for a fresh position update
+        /// (paper §5: "persistent registration information also allows a
+        /// location server to ask a visitor for a position update to restore
+        /// its position information … after system restart").
+        PositionProbe = 36, "positionProbe" {
+            /// The object asked to report.
+            oid: ObjectId,
+        },
+        /// A server that received an update for an object it no longer
+        /// tracks (the object's `AgentChanged` was lost) routes this along
+        /// the forwarding paths; the current agent answers the object with
+        /// a fresh `AgentChanged`. Robustness extension beyond the paper's
+        /// pseudocode, required for UDP deployments.
+        AgentLookup = 37, "agentLookup" {
+            /// The object whose agent is sought.
+            oid: ObjectId,
+            /// The tracked object's endpoint (receives the answer).
+            object: Endpoint,
+        },
+
+        // --------------------------------------- hierarchy reconfiguration
+        //
+        // The paper's tree is static (§4); these messages implement live
+        // reshaping: a joining server receives the visitor records its new
+        // area covers from the sibling it split (bulk handover), a leaving
+        // server drains everything to the sibling absorbing its area, and
+        // a root successor rebuilds its forwarding table from its children.
+        /// Bulk visitor handover from a source leaf to a sibling leaf
+        /// during a join (the source's area was split) or a leave (the
+        /// source drains before detaching). The target applies the whole
+        /// batch as **one atomic WAL record**, re-asserts each forwarding
+        /// path (`createPath` with `epoch`), and acks; the source keeps
+        /// answering for the records — and retries on a timer — until the
+        /// ack arrives, then deletes its copies under the same epoch guard.
+        StateTransfer = 40, "stateTransfer" {
+            /// The transferred visitors.
+            records: Vec<TransferRecord>,
+            /// Path-change stamp of the transfer: stale replays lose
+            /// against any newer per-object path change (handover or
+            /// re-registration) on both sides.
+            epoch: Hlc,
+            /// Correlation id, identifying the transfer across retries.
+            corr: CorrId,
+        },
+        /// The target durably applied a [`Message::StateTransfer`].
+        StateTransferAck = 41, "stateTransferAck" {
+            /// Records accepted (stale ones are counted out but still
+            /// acknowledged — the source's epoch guard skips them too).
+            accepted: u32,
+            /// Echo of the acknowledged transfer's stamp: the source's
+            /// removal guard must use the stamp of the send this ack
+            /// answers, not its latest — a delayed ack for an earlier
+            /// send must not delete records that changed since.
+            epoch: Hlc,
+            /// Correlation id of the transfer.
+            corr: CorrId,
+        },
+        /// A promoted root successor asks a child for a chunk of the
+        /// visitors reachable through it, to rebuild its forwarding table
+        /// without waiting a full keep-alive period. Chunked as a cursor
+        /// pull: `after` names the last object already received (`None`
+        /// starts the scan), and the child answers with the next chunk in
+        /// object-id order.
+        PathSyncReq = 42, "pathSyncReq" {
+            /// Resume cursor: only records with ids strictly greater are
+            /// returned.
+            after: Option<ObjectId>,
+            /// Correlation id.
+            corr: CorrId,
+        },
+        /// A child's answer to [`Message::PathSyncReq`]: the next chunk
+        /// of objects it has records for, with each record's path-change
+        /// stamp. The new root installs a forwarding reference per entry
+        /// (epoch-guarded) and pulls again from the last id until `done`.
+        PathSyncRes = 43, "pathSyncRes" {
+            /// `(object, record stamp)` pairs, ascending by object id.
+            entries: Vec<(ObjectId, Hlc)>,
+            /// True when no records remain past this chunk.
+            done: bool,
+            /// Correlation id.
+            corr: CorrId,
+        },
+
+        // ------------------------------------------------------- replication
+        /// A batch of forwarding-table / visitor-record deltas streamed to
+        /// a warm standby (roots and mid-nodes) or to a sibling replica
+        /// leaf (k=2 leaf replication). Exactly one batch per stream is in
+        /// flight; the source retries it with backoff (like
+        /// [`Message::StateTransfer`]) until the ack arrives, and every
+        /// record is HLC-guarded at the receiver, so replayed batches are
+        /// idempotent.
+        FwdDelta = 44, "fwdDelta" {
+            /// Stream id (the designation stamp's raw bits): a receiver
+            /// ignores batches from a stream it was never attached to, so
+            /// deltas from a deposed source cannot corrupt a fresh stream.
+            stream: u64,
+            /// Batch sequence number within the stream (diagnostic; the
+            /// per-record stamps carry the ordering).
+            seq: u64,
+            /// True when the receiver holds these as leaf *replica*
+            /// records (side table serving bounded-staleness reads)
+            /// rather than adopting them into its own visitor table.
+            replica: bool,
+            /// The batched deltas.
+            records: Vec<DeltaRecord>,
+            /// Correlation id, identifying the batch across retries.
+            corr: CorrId,
+        },
+        /// The receiver durably applied a [`Message::FwdDelta`] batch.
+        FwdDeltaAck = 45, "fwdDeltaAck" {
+            /// Echo of the batch's stream id.
+            stream: u64,
+            /// Echo of the batch's sequence number.
+            seq: u64,
+            /// Records accepted (stale ones are counted out but still
+            /// acknowledged — the sender's watermark keeps the stamp it
+            /// sent either way).
+            applied: u32,
+            /// Correlation id of the batch.
+            corr: CorrId,
+        },
+    }
 }
 
-fn items_len(items: &[ObjectLocation]) -> usize {
-    4 + items.len() * (OID_LEN + LD_LEN)
+wire_struct! {
+    /// One replicated record change inside a [`Message::FwdDelta`] batch.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct DeltaRecord {
+        /// The object whose record changed.
+        pub oid: ObjectId,
+        /// The change itself.
+        pub body: DeltaBody,
+    }
 }
 
-fn opt_item_len(item: &Option<ObjectLocation>) -> usize {
-    1 + item.map(|_| OID_LEN + LD_LEN).unwrap_or(0)
-}
-
-fn range_query_len(q: &RangeQuery) -> usize {
-    wire::region_encoded_len(&q.area) + 8 + 8
-}
-
-fn oids_len(oids: &[ObjectId]) -> usize {
-    4 + oids.len() * OID_LEN
-}
-
-fn predicate_len(p: &Predicate) -> usize {
-    1 + wire::region_encoded_len(p.area())
-        + match p {
-            Predicate::CountAtLeast { .. } => 4,
-            Predicate::Enter { oid, .. } | Predicate::Leave { oid, .. } => {
-                1 + oid.map(|_| OID_LEN).unwrap_or(0)
-            }
-        }
-}
-
-fn transfer_records_len(records: &[TransferRecord]) -> usize {
-    4 + records
-        .iter()
-        .map(|r| {
-            OID_LEN + REG_LEN + 8 + 1 + r.sighting.map(|_| SIGHTING_LEN).unwrap_or(0)
-        })
-        .sum::<usize>()
-}
-
-fn path_entries_len(entries: &[(ObjectId, Hlc)]) -> usize {
-    4 + entries.len() * (OID_LEN + 8)
-}
-
-fn delta_records_len(records: &[DeltaRecord]) -> usize {
-    4 + records
-        .iter()
-        .map(|r| {
-            OID_LEN
-                + 1
-                + match &r.body {
-                    DeltaBody::Forward { .. } => SERVER_LEN + 8,
-                    DeltaBody::Leaf { sighting, .. } => {
-                        REG_LEN + 8 + 8 + 1 + sighting.map(|_| SIGHTING_LEN).unwrap_or(0)
-                    }
-                    DeltaBody::Remove { .. } => 8,
-                }
-        })
-        .sum::<usize>()
-}
-
-fn event_kind_len(k: &EventKind) -> usize {
-    1 + match k {
-        EventKind::CountReached { .. } => 4,
-        EventKind::Entered { .. } | EventKind::Left { .. } => OID_LEN,
+wire_enum! {
+    /// What a [`DeltaRecord`] replicates. Every variant carries the HLC
+    /// stamp that arbitrates it at the receiver: apply iff not older than
+    /// the copy already held (ties resolve by the stamp's node id, so
+    /// every replica picks the same winner).
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum DeltaBody {
+        /// A non-leaf forwarding reference (standby streams).
+        Forward = 0 {
+            /// The next-hop child server.
+            child: ServerId,
+            /// The record's path-change stamp.
+            epoch: Hlc,
+        },
+        /// A leaf visitor record plus its current sighting (replica
+        /// streams) — everything a sibling needs to serve a
+        /// bounded-staleness position read or adopt the record on
+        /// failover.
+        Leaf = 1 {
+            /// Registration info.
+            reg: RegInfo,
+            /// Accuracy the agent currently offers.
+            offered_acc_m: f64 where accuracy,
+            /// The record's path-change stamp.
+            epoch: Hlc,
+            /// The agent's current sighting, when one exists.
+            sighting: Option<Sighting>,
+        },
+        /// The record was removed (deregistration, handover away,
+        /// soft-state expiry).
+        Remove = 2 {
+            /// Stamp of the removal.
+            epoch: Hlc,
+        },
     }
 }
 
@@ -739,881 +622,37 @@ impl Message {
     /// reallocation for large range results.
     // lint:hot_path
     pub fn encoded_len(&self) -> usize {
-        1 + match self {
-            Message::RegisterReq { .. } => {
-                SIGHTING_LEN + 8 + 8 + 8 + wire::ENDPOINT_LEN + CORR_LEN
+        Field::len(self)
+    }
+}
+
+/// The public codec of the top-level wire types is their [`Field`]
+/// layout.
+macro_rules! codec_via_field {
+    ($($ty:ty),*) => {$(
+        impl WireCodec for $ty {
+            fn encoded_len(&self) -> Option<usize> {
+                Some(Field::len(self))
             }
-            Message::RegisterRes { .. } => SERVER_LEN + 8 + CORR_LEN,
-            Message::RegisterFailed { .. } => SERVER_LEN + 8 + CORR_LEN,
-            Message::CreatePath { .. } => OID_LEN + 8,
-            Message::UpdateReq { .. } => SIGHTING_LEN,
-            Message::UpdateAck { .. } => OID_LEN + 8 + 8,
-            Message::UpdateBatch { sightings, .. } => {
-                4 + sightings.len() * SIGHTING_LEN + CORR_LEN
+            fn encode(&self, buf: &mut Vec<u8>) {
+                Field::put(self, buf);
             }
-            Message::UpdateBatchAck { acks, .. } => {
-                4 + acks.len() * (OID_LEN + 8) + 8 + CORR_LEN
-            }
-            Message::HandoverReq { .. } => SIGHTING_LEN + REG_LEN + 8 + CORR_LEN,
-            Message::HandoverRes { .. } => OID_LEN + SERVER_LEN + 8 + 8 + CORR_LEN,
-            Message::HandoverFailed { .. } => OID_LEN + 8 + CORR_LEN,
-            Message::AgentChanged { .. } => OID_LEN + SERVER_LEN + 8,
-            Message::OutOfServiceArea { .. } => OID_LEN,
-            Message::DeregisterReq { .. } => OID_LEN,
-            Message::RemovePath { .. } => OID_LEN + 8,
-            Message::ChangeAccReq { .. } => OID_LEN + 8 + 8 + CORR_LEN,
-            Message::ChangeAccRes { .. } => OID_LEN + 1 + 8 + CORR_LEN,
-            Message::NotifyAvailAcc { .. } => OID_LEN + 8,
-            Message::PosQueryReq { .. } => OID_LEN + CORR_LEN,
-            Message::PosQueryFwd { .. } => OID_LEN + SERVER_LEN + 1 + CORR_LEN,
-            Message::PosQueryRes { found, .. } => OID_LEN + opt_ld_len(found) + 8 + 8 + CORR_LEN,
-            Message::PosQueryMiss { .. } => OID_LEN + CORR_LEN,
-            Message::RangeQueryReq { query, .. } => range_query_len(query) + CORR_LEN,
-            Message::RangeQueryFwd { query, .. } => range_query_len(query) + SERVER_LEN + CORR_LEN,
-            Message::RangeQuerySubRes { items, .. } => {
-                items_len(items) + 8 + SERVER_LEN + 32 + CORR_LEN
-            }
-            Message::RangeQueryRes { items, .. } => items_len(items) + 1 + CORR_LEN,
-            Message::NeighborQueryReq { .. } => 16 + 8 + 8 + CORR_LEN,
-            Message::NeighborQueryFwd { .. } => 16 + 8 + 8 + SERVER_LEN + CORR_LEN,
-            Message::NeighborQuerySubRes { items, .. } => {
-                items_len(items) + 8 + SERVER_LEN + 32 + CORR_LEN
-            }
-            Message::NeighborQueryRes { nearest, near_set, .. } => {
-                opt_item_len(nearest) + items_len(near_set) + 1 + CORR_LEN
-            }
-            Message::EventRegisterReq { predicate, .. } => predicate_len(predicate) + CORR_LEN,
-            Message::EventRegisterRes { .. } => 8 + CORR_LEN,
-            Message::EventInstall { predicate, .. } => 8 + SERVER_LEN + predicate_len(predicate),
-            Message::EventUninstall { .. } => 8,
-            Message::EventLocalReport { entered, left, .. } => {
-                8 + SERVER_LEN + 4 + oids_len(entered) + oids_len(left)
-            }
-            Message::EventNotify { kind, .. } => 8 + event_kind_len(kind),
-            Message::EventCancelReq { .. } => 8,
-            Message::PositionProbe { .. } => OID_LEN,
-            Message::AgentLookup { .. } => OID_LEN + wire::ENDPOINT_LEN,
-            Message::StateTransfer { records, .. } => {
-                transfer_records_len(records) + 8 + CORR_LEN
-            }
-            Message::StateTransferAck { .. } => 4 + 8 + CORR_LEN,
-            Message::PathSyncReq { after, .. } => {
-                1 + after.map(|_| OID_LEN).unwrap_or(0) + CORR_LEN
-            }
-            Message::PathSyncRes { entries, .. } => path_entries_len(entries) + 1 + CORR_LEN,
-            Message::FwdDelta { records, .. } => 8 + 8 + 1 + delta_records_len(records) + CORR_LEN,
-            Message::FwdDeltaAck { .. } => 8 + 8 + 4 + CORR_LEN,
-        }
-    }
-}
-
-// ---------------------------------------------------------------- codec
-
-fn put_oid(buf: &mut Vec<u8>, oid: ObjectId) {
-    wire::put_u64(buf, oid.0);
-}
-
-fn get_oid(buf: &mut &[u8]) -> Option<ObjectId> {
-    Some(ObjectId(wire::get_u64(buf)?))
-}
-
-fn put_server(buf: &mut Vec<u8>, s: ServerId) {
-    wire::put_u32(buf, s.0);
-}
-
-fn get_server(buf: &mut &[u8]) -> Option<ServerId> {
-    Some(ServerId(wire::get_u32(buf)?))
-}
-
-fn put_corr(buf: &mut Vec<u8>, c: CorrId) {
-    wire::put_u64(buf, c.0);
-}
-
-fn get_corr(buf: &mut &[u8]) -> Option<CorrId> {
-    Some(CorrId(wire::get_u64(buf)?))
-}
-
-fn put_sighting(buf: &mut Vec<u8>, s: &Sighting) {
-    put_oid(buf, s.oid);
-    wire::put_u64(buf, s.time_us);
-    wire::put_point(buf, s.pos);
-    wire::put_f64(buf, s.acc_sens_m);
-}
-
-fn get_sighting(buf: &mut &[u8]) -> Option<Sighting> {
-    let oid = get_oid(buf)?;
-    let time_us = wire::get_u64(buf)?;
-    let pos = wire::get_point(buf)?;
-    let acc = wire::get_f64(buf)?;
-    if !(acc >= 0.0 && acc.is_finite()) {
-        return None;
-    }
-    Some(Sighting { oid, time_us, pos, acc_sens_m: acc })
-}
-
-fn put_reg(buf: &mut Vec<u8>, r: &RegInfo) {
-    wire::put_endpoint(buf, r.registrant);
-    wire::put_f64(buf, r.des_acc_m);
-    wire::put_f64(buf, r.min_acc_m);
-    wire::put_f64(buf, r.max_speed_mps);
-}
-
-fn get_reg(buf: &mut &[u8]) -> Option<RegInfo> {
-    let registrant = wire::get_endpoint(buf)?;
-    let des = wire::get_f64(buf)?;
-    let min = wire::get_f64(buf)?;
-    let vmax = wire::get_f64(buf)?;
-    if !(des >= 0.0 && des <= min && min.is_finite() && vmax >= 0.0 && vmax.is_finite()) {
-        return None;
-    }
-    Some(RegInfo { registrant, des_acc_m: des, min_acc_m: min, max_speed_mps: vmax })
-}
-
-fn put_ld(buf: &mut Vec<u8>, ld: &LocationDescriptor) {
-    wire::put_point(buf, ld.pos);
-    wire::put_f64(buf, ld.acc_m);
-}
-
-fn get_ld(buf: &mut &[u8]) -> Option<LocationDescriptor> {
-    let pos = wire::get_point(buf)?;
-    let acc = wire::get_f64(buf)?;
-    if !(acc >= 0.0 && acc.is_finite()) {
-        return None;
-    }
-    Some(LocationDescriptor { pos, acc_m: acc })
-}
-
-fn put_opt_ld(buf: &mut Vec<u8>, ld: &Option<LocationDescriptor>) {
-    match ld {
-        None => wire::put_u8(buf, 0),
-        Some(ld) => {
-            wire::put_u8(buf, 1);
-            put_ld(buf, ld);
-        }
-    }
-}
-
-fn get_opt_ld(buf: &mut &[u8]) -> Option<Option<LocationDescriptor>> {
-    match wire::get_u8(buf)? {
-        0 => Some(None),
-        1 => Some(Some(get_ld(buf)?)),
-        _ => None,
-    }
-}
-
-fn put_items(buf: &mut Vec<u8>, items: &[ObjectLocation]) {
-    wire::put_vec(buf, items, |b, (oid, ld)| {
-        put_oid(b, *oid);
-        put_ld(b, ld);
-    });
-}
-
-fn get_items(buf: &mut &[u8]) -> Option<Vec<ObjectLocation>> {
-    wire::get_vec(buf, MAX_ITEMS, |b| Some((get_oid(b)?, get_ld(b)?)))
-}
-
-fn put_opt_item(buf: &mut Vec<u8>, item: &Option<ObjectLocation>) {
-    match item {
-        None => wire::put_u8(buf, 0),
-        Some((oid, ld)) => {
-            wire::put_u8(buf, 1);
-            put_oid(buf, *oid);
-            put_ld(buf, ld);
-        }
-    }
-}
-
-fn get_opt_item(buf: &mut &[u8]) -> Option<Option<ObjectLocation>> {
-    match wire::get_u8(buf)? {
-        0 => Some(None),
-        1 => Some(Some((get_oid(buf)?, get_ld(buf)?))),
-        _ => None,
-    }
-}
-
-fn put_range_query(buf: &mut Vec<u8>, q: &RangeQuery) {
-    wire::put_region(buf, &q.area);
-    wire::put_f64(buf, q.req_acc_m);
-    wire::put_f64(buf, q.req_overlap);
-}
-
-fn get_range_query(buf: &mut &[u8]) -> Option<RangeQuery> {
-    let area = wire::get_region(buf)?;
-    let req_acc = wire::get_f64(buf)?;
-    let req_overlap = wire::get_f64(buf)?;
-    if !(req_acc >= 0.0 && req_acc.is_finite() && req_overlap > 0.0 && req_overlap <= 1.0) {
-        return None;
-    }
-    Some(RangeQuery { area, req_acc_m: req_acc, req_overlap })
-}
-
-fn put_transfer_record(buf: &mut Vec<u8>, r: &TransferRecord) {
-    put_oid(buf, r.oid);
-    put_reg(buf, &r.reg);
-    wire::put_f64(buf, r.offered_acc_m);
-    match &r.sighting {
-        None => wire::put_u8(buf, 0),
-        Some(s) => {
-            wire::put_u8(buf, 1);
-            put_sighting(buf, s);
-        }
-    }
-}
-
-fn get_transfer_record(buf: &mut &[u8]) -> Option<TransferRecord> {
-    let oid = get_oid(buf)?;
-    let reg = get_reg(buf)?;
-    let offered = wire::get_f64(buf)?;
-    if !(offered >= 0.0 && offered.is_finite()) {
-        return None;
-    }
-    let sighting = match wire::get_u8(buf)? {
-        0 => None,
-        1 => Some(get_sighting(buf)?),
-        _ => return None,
-    };
-    Some(TransferRecord { oid, reg, offered_acc_m: offered, sighting })
-}
-
-fn put_path_entries(buf: &mut Vec<u8>, entries: &[(ObjectId, Hlc)]) {
-    wire::put_vec(buf, entries, |b, (oid, epoch)| {
-        put_oid(b, *oid);
-        wire::put_u64(b, epoch.0);
-    });
-}
-
-fn get_path_entries(buf: &mut &[u8]) -> Option<Vec<(ObjectId, Hlc)>> {
-    wire::get_vec(buf, MAX_ITEMS, |b| Some((get_oid(b)?, Hlc(wire::get_u64(b)?))))
-}
-
-fn put_delta_record(buf: &mut Vec<u8>, r: &DeltaRecord) {
-    put_oid(buf, r.oid);
-    match &r.body {
-        DeltaBody::Forward { child, epoch } => {
-            wire::put_u8(buf, 0);
-            put_server(buf, *child);
-            wire::put_u64(buf, epoch.0);
-        }
-        DeltaBody::Leaf { reg, offered_acc_m, epoch, sighting } => {
-            wire::put_u8(buf, 1);
-            put_reg(buf, reg);
-            wire::put_f64(buf, *offered_acc_m);
-            wire::put_u64(buf, epoch.0);
-            match sighting {
-                None => wire::put_u8(buf, 0),
-                Some(s) => {
-                    wire::put_u8(buf, 1);
-                    put_sighting(buf, s);
-                }
+            fn decode(buf: &mut &[u8]) -> Option<Self> {
+                Field::get(buf)
             }
         }
-        DeltaBody::Remove { epoch } => {
-            wire::put_u8(buf, 2);
-            wire::put_u64(buf, epoch.0);
-        }
-    }
+    )*};
 }
 
-fn get_delta_record(buf: &mut &[u8]) -> Option<DeltaRecord> {
-    let oid = get_oid(buf)?;
-    let body = match wire::get_u8(buf)? {
-        0 => DeltaBody::Forward {
-            child: get_server(buf)?,
-            epoch: Hlc(wire::get_u64(buf)?),
-        },
-        1 => {
-            let reg = get_reg(buf)?;
-            let offered = wire::get_f64(buf)?;
-            if !(offered >= 0.0 && offered.is_finite()) {
-                return None;
-            }
-            let epoch = Hlc(wire::get_u64(buf)?);
-            let sighting = match wire::get_u8(buf)? {
-                0 => None,
-                1 => Some(get_sighting(buf)?),
-                _ => return None,
-            };
-            DeltaBody::Leaf { reg, offered_acc_m: offered, epoch, sighting }
-        }
-        2 => DeltaBody::Remove { epoch: Hlc(wire::get_u64(buf)?) },
-        _ => return None,
-    };
-    Some(DeltaRecord { oid, body })
-}
-
-fn put_oids(buf: &mut Vec<u8>, oids: &[ObjectId]) {
-    wire::put_vec(buf, oids, |b, o| put_oid(b, *o));
-}
-
-fn get_oids(buf: &mut &[u8]) -> Option<Vec<ObjectId>> {
-    wire::get_vec(buf, MAX_ITEMS, get_oid)
-}
-
-macro_rules! tags {
-    ($($name:ident = $val:expr;)*) => {
-        $(const $name: u8 = $val;)*
-    };
-}
-
-tags! {
-    T_REGISTER_REQ = 1;
-    T_REGISTER_RES = 2;
-    T_REGISTER_FAILED = 3;
-    T_CREATE_PATH = 4;
-    T_UPDATE_REQ = 5;
-    T_UPDATE_ACK = 6;
-    T_HANDOVER_REQ = 7;
-    T_HANDOVER_RES = 8;
-    T_HANDOVER_FAILED = 9;
-    T_AGENT_CHANGED = 10;
-    T_OUT_OF_AREA = 11;
-    T_DEREGISTER = 12;
-    T_REMOVE_PATH = 13;
-    T_CHANGE_ACC_REQ = 14;
-    T_CHANGE_ACC_RES = 15;
-    T_NOTIFY_ACC = 16;
-    T_POS_REQ = 17;
-    T_POS_FWD = 18;
-    T_POS_RES = 19;
-    T_POS_MISS = 20;
-    T_RANGE_REQ = 21;
-    T_RANGE_FWD = 22;
-    T_RANGE_SUB = 23;
-    T_RANGE_RES = 24;
-    T_NN_REQ = 25;
-    T_NN_FWD = 26;
-    T_NN_SUB = 27;
-    T_NN_RES = 28;
-    T_EV_REG_REQ = 29;
-    T_EV_REG_RES = 30;
-    T_EV_INSTALL = 31;
-    T_EV_UNINSTALL = 32;
-    T_EV_REPORT = 33;
-    T_EV_NOTIFY = 34;
-    T_EV_CANCEL = 35;
-    T_POS_PROBE = 36;
-    T_AGENT_LOOKUP = 37;
-    T_UPDATE_BATCH = 38;
-    T_UPDATE_BATCH_ACK = 39;
-    T_STATE_TRANSFER = 40;
-    T_STATE_TRANSFER_ACK = 41;
-    T_PATH_SYNC_REQ = 42;
-    T_PATH_SYNC_RES = 43;
-    T_FWD_DELTA = 44;
-    T_FWD_DELTA_ACK = 45;
-}
-
-impl WireCodec for Message {
-    fn encoded_len(&self) -> Option<usize> {
-        Some(Message::encoded_len(self))
-    }
-
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            Message::RegisterReq { sighting, des_acc_m, min_acc_m, max_speed_mps, registrant, corr } => {
-                wire::put_u8(buf, T_REGISTER_REQ);
-                put_sighting(buf, sighting);
-                wire::put_f64(buf, *des_acc_m);
-                wire::put_f64(buf, *min_acc_m);
-                wire::put_f64(buf, *max_speed_mps);
-                wire::put_endpoint(buf, *registrant);
-                put_corr(buf, *corr);
-            }
-            Message::RegisterRes { agent, offered_acc_m, corr } => {
-                wire::put_u8(buf, T_REGISTER_RES);
-                put_server(buf, *agent);
-                wire::put_f64(buf, *offered_acc_m);
-                put_corr(buf, *corr);
-            }
-            Message::RegisterFailed { server, achievable_m, corr } => {
-                wire::put_u8(buf, T_REGISTER_FAILED);
-                put_server(buf, *server);
-                wire::put_f64(buf, *achievable_m);
-                put_corr(buf, *corr);
-            }
-            Message::CreatePath { oid, epoch } => {
-                wire::put_u8(buf, T_CREATE_PATH);
-                put_oid(buf, *oid);
-                wire::put_u64(buf, epoch.0);
-            }
-            Message::UpdateReq { sighting } => {
-                wire::put_u8(buf, T_UPDATE_REQ);
-                put_sighting(buf, sighting);
-            }
-            Message::UpdateAck { oid, offered_acc_m, time_us } => {
-                wire::put_u8(buf, T_UPDATE_ACK);
-                put_oid(buf, *oid);
-                wire::put_f64(buf, *offered_acc_m);
-                wire::put_u64(buf, *time_us);
-            }
-            Message::UpdateBatch { sightings, corr } => {
-                wire::put_u8(buf, T_UPDATE_BATCH);
-                wire::put_vec(buf, sightings, put_sighting);
-                put_corr(buf, *corr);
-            }
-            Message::UpdateBatchAck { acks, time_us, corr } => {
-                wire::put_u8(buf, T_UPDATE_BATCH_ACK);
-                wire::put_vec(buf, acks, |b, (oid, acc)| {
-                    put_oid(b, *oid);
-                    wire::put_f64(b, *acc);
-                });
-                wire::put_u64(buf, *time_us);
-                put_corr(buf, *corr);
-            }
-            Message::HandoverReq { sighting, reg, epoch, corr } => {
-                wire::put_u8(buf, T_HANDOVER_REQ);
-                put_sighting(buf, sighting);
-                put_reg(buf, reg);
-                wire::put_u64(buf, epoch.0);
-                put_corr(buf, *corr);
-            }
-            Message::HandoverRes { oid, new_agent, offered_acc_m, epoch, corr } => {
-                wire::put_u8(buf, T_HANDOVER_RES);
-                put_oid(buf, *oid);
-                put_server(buf, *new_agent);
-                wire::put_f64(buf, *offered_acc_m);
-                wire::put_u64(buf, epoch.0);
-                put_corr(buf, *corr);
-            }
-            Message::HandoverFailed { oid, epoch, corr } => {
-                wire::put_u8(buf, T_HANDOVER_FAILED);
-                put_oid(buf, *oid);
-                wire::put_u64(buf, epoch.0);
-                put_corr(buf, *corr);
-            }
-            Message::AgentChanged { oid, new_agent, offered_acc_m } => {
-                wire::put_u8(buf, T_AGENT_CHANGED);
-                put_oid(buf, *oid);
-                put_server(buf, *new_agent);
-                wire::put_f64(buf, *offered_acc_m);
-            }
-            Message::OutOfServiceArea { oid } => {
-                wire::put_u8(buf, T_OUT_OF_AREA);
-                put_oid(buf, *oid);
-            }
-            Message::DeregisterReq { oid } => {
-                wire::put_u8(buf, T_DEREGISTER);
-                put_oid(buf, *oid);
-            }
-            Message::RemovePath { oid, epoch } => {
-                wire::put_u8(buf, T_REMOVE_PATH);
-                put_oid(buf, *oid);
-                wire::put_u64(buf, epoch.0);
-            }
-            Message::ChangeAccReq { oid, des_acc_m, min_acc_m, corr } => {
-                wire::put_u8(buf, T_CHANGE_ACC_REQ);
-                put_oid(buf, *oid);
-                wire::put_f64(buf, *des_acc_m);
-                wire::put_f64(buf, *min_acc_m);
-                put_corr(buf, *corr);
-            }
-            Message::ChangeAccRes { oid, ok, offered_acc_m, corr } => {
-                wire::put_u8(buf, T_CHANGE_ACC_RES);
-                put_oid(buf, *oid);
-                wire::put_bool(buf, *ok);
-                wire::put_f64(buf, *offered_acc_m);
-                put_corr(buf, *corr);
-            }
-            Message::NotifyAvailAcc { oid, offered_acc_m } => {
-                wire::put_u8(buf, T_NOTIFY_ACC);
-                put_oid(buf, *oid);
-                wire::put_f64(buf, *offered_acc_m);
-            }
-            Message::PosQueryReq { oid, corr } => {
-                wire::put_u8(buf, T_POS_REQ);
-                put_oid(buf, *oid);
-                put_corr(buf, *corr);
-            }
-            Message::PosQueryFwd { oid, entry, direct, corr } => {
-                wire::put_u8(buf, T_POS_FWD);
-                put_oid(buf, *oid);
-                put_server(buf, *entry);
-                wire::put_bool(buf, *direct);
-                put_corr(buf, *corr);
-            }
-            Message::PosQueryRes { oid, found, time_us, max_speed_mps, corr } => {
-                wire::put_u8(buf, T_POS_RES);
-                put_oid(buf, *oid);
-                put_opt_ld(buf, found);
-                wire::put_u64(buf, *time_us);
-                wire::put_f64(buf, *max_speed_mps);
-                put_corr(buf, *corr);
-            }
-            Message::PosQueryMiss { oid, corr } => {
-                wire::put_u8(buf, T_POS_MISS);
-                put_oid(buf, *oid);
-                put_corr(buf, *corr);
-            }
-            Message::RangeQueryReq { query, corr } => {
-                wire::put_u8(buf, T_RANGE_REQ);
-                put_range_query(buf, query);
-                put_corr(buf, *corr);
-            }
-            Message::RangeQueryFwd { query, entry, corr } => {
-                wire::put_u8(buf, T_RANGE_FWD);
-                put_range_query(buf, query);
-                put_server(buf, *entry);
-                put_corr(buf, *corr);
-            }
-            Message::RangeQuerySubRes { items, covered_area_m2, leaf, leaf_area, corr } => {
-                wire::put_u8(buf, T_RANGE_SUB);
-                put_items(buf, items);
-                wire::put_f64(buf, *covered_area_m2);
-                put_server(buf, *leaf);
-                wire::put_rect(buf, leaf_area);
-                put_corr(buf, *corr);
-            }
-            Message::RangeQueryRes { items, complete, corr } => {
-                wire::put_u8(buf, T_RANGE_RES);
-                put_items(buf, items);
-                wire::put_bool(buf, *complete);
-                put_corr(buf, *corr);
-            }
-            Message::NeighborQueryReq { p, req_acc_m, near_qual_m, corr } => {
-                wire::put_u8(buf, T_NN_REQ);
-                wire::put_point(buf, *p);
-                wire::put_f64(buf, *req_acc_m);
-                wire::put_f64(buf, *near_qual_m);
-                put_corr(buf, *corr);
-            }
-            Message::NeighborQueryFwd { p, req_acc_m, radius_m, entry, corr } => {
-                wire::put_u8(buf, T_NN_FWD);
-                wire::put_point(buf, *p);
-                wire::put_f64(buf, *req_acc_m);
-                wire::put_f64(buf, *radius_m);
-                put_server(buf, *entry);
-                put_corr(buf, *corr);
-            }
-            Message::NeighborQuerySubRes { items, covered_area_m2, leaf, leaf_area, corr } => {
-                wire::put_u8(buf, T_NN_SUB);
-                put_items(buf, items);
-                wire::put_f64(buf, *covered_area_m2);
-                put_server(buf, *leaf);
-                wire::put_rect(buf, leaf_area);
-                put_corr(buf, *corr);
-            }
-            Message::NeighborQueryRes { nearest, near_set, complete, corr } => {
-                wire::put_u8(buf, T_NN_RES);
-                put_opt_item(buf, nearest);
-                put_items(buf, near_set);
-                wire::put_bool(buf, *complete);
-                put_corr(buf, *corr);
-            }
-            Message::EventRegisterReq { predicate, corr } => {
-                wire::put_u8(buf, T_EV_REG_REQ);
-                predicate.encode(buf);
-                put_corr(buf, *corr);
-            }
-            Message::EventRegisterRes { event_id, corr } => {
-                wire::put_u8(buf, T_EV_REG_RES);
-                wire::put_u64(buf, *event_id);
-                put_corr(buf, *corr);
-            }
-            Message::EventInstall { event_id, coordinator, predicate } => {
-                wire::put_u8(buf, T_EV_INSTALL);
-                wire::put_u64(buf, *event_id);
-                put_server(buf, *coordinator);
-                predicate.encode(buf);
-            }
-            Message::EventUninstall { event_id } => {
-                wire::put_u8(buf, T_EV_UNINSTALL);
-                wire::put_u64(buf, *event_id);
-            }
-            Message::EventLocalReport { event_id, leaf, count, entered, left } => {
-                wire::put_u8(buf, T_EV_REPORT);
-                wire::put_u64(buf, *event_id);
-                put_server(buf, *leaf);
-                wire::put_u32(buf, *count);
-                put_oids(buf, entered);
-                put_oids(buf, left);
-            }
-            Message::EventNotify { event_id, kind } => {
-                wire::put_u8(buf, T_EV_NOTIFY);
-                wire::put_u64(buf, *event_id);
-                kind.encode(buf);
-            }
-            Message::EventCancelReq { event_id } => {
-                wire::put_u8(buf, T_EV_CANCEL);
-                wire::put_u64(buf, *event_id);
-            }
-            Message::PositionProbe { oid } => {
-                wire::put_u8(buf, T_POS_PROBE);
-                put_oid(buf, *oid);
-            }
-            Message::AgentLookup { oid, object } => {
-                wire::put_u8(buf, T_AGENT_LOOKUP);
-                put_oid(buf, *oid);
-                wire::put_endpoint(buf, *object);
-            }
-            Message::StateTransfer { records, epoch, corr } => {
-                wire::put_u8(buf, T_STATE_TRANSFER);
-                wire::put_vec(buf, records, put_transfer_record);
-                wire::put_u64(buf, epoch.0);
-                put_corr(buf, *corr);
-            }
-            Message::StateTransferAck { accepted, epoch, corr } => {
-                wire::put_u8(buf, T_STATE_TRANSFER_ACK);
-                wire::put_u32(buf, *accepted);
-                wire::put_u64(buf, epoch.0);
-                put_corr(buf, *corr);
-            }
-            Message::PathSyncReq { after, corr } => {
-                wire::put_u8(buf, T_PATH_SYNC_REQ);
-                match after {
-                    None => wire::put_u8(buf, 0),
-                    Some(oid) => {
-                        wire::put_u8(buf, 1);
-                        put_oid(buf, *oid);
-                    }
-                }
-                put_corr(buf, *corr);
-            }
-            Message::PathSyncRes { entries, done, corr } => {
-                wire::put_u8(buf, T_PATH_SYNC_RES);
-                put_path_entries(buf, entries);
-                wire::put_bool(buf, *done);
-                put_corr(buf, *corr);
-            }
-            Message::FwdDelta { stream, seq, replica, records, corr } => {
-                wire::put_u8(buf, T_FWD_DELTA);
-                wire::put_u64(buf, *stream);
-                wire::put_u64(buf, *seq);
-                wire::put_bool(buf, *replica);
-                wire::put_vec(buf, records, put_delta_record);
-                put_corr(buf, *corr);
-            }
-            Message::FwdDeltaAck { stream, seq, applied, corr } => {
-                wire::put_u8(buf, T_FWD_DELTA_ACK);
-                wire::put_u64(buf, *stream);
-                wire::put_u64(buf, *seq);
-                wire::put_u32(buf, *applied);
-                put_corr(buf, *corr);
-            }
-        }
-    }
-
-    fn decode(buf: &mut &[u8]) -> Option<Self> {
-        Some(match wire::get_u8(buf)? {
-            T_REGISTER_REQ => Message::RegisterReq {
-                sighting: get_sighting(buf)?,
-                des_acc_m: wire::get_f64(buf)?,
-                min_acc_m: wire::get_f64(buf)?,
-                max_speed_mps: wire::get_f64(buf)?,
-                registrant: wire::get_endpoint(buf)?,
-                corr: get_corr(buf)?,
-            },
-            T_REGISTER_RES => Message::RegisterRes {
-                agent: get_server(buf)?,
-                offered_acc_m: wire::get_f64(buf)?,
-                corr: get_corr(buf)?,
-            },
-            T_REGISTER_FAILED => Message::RegisterFailed {
-                server: get_server(buf)?,
-                achievable_m: wire::get_f64(buf)?,
-                corr: get_corr(buf)?,
-            },
-            T_CREATE_PATH => {
-                Message::CreatePath { oid: get_oid(buf)?, epoch: Hlc(wire::get_u64(buf)?) }
-            }
-            T_UPDATE_REQ => Message::UpdateReq { sighting: get_sighting(buf)? },
-            T_UPDATE_ACK => Message::UpdateAck {
-                oid: get_oid(buf)?,
-                offered_acc_m: wire::get_f64(buf)?,
-                time_us: wire::get_u64(buf)?,
-            },
-            T_UPDATE_BATCH => Message::UpdateBatch {
-                sightings: wire::get_vec(buf, MAX_ITEMS, get_sighting)?,
-                corr: get_corr(buf)?,
-            },
-            T_UPDATE_BATCH_ACK => Message::UpdateBatchAck {
-                acks: wire::get_vec(buf, MAX_ITEMS, |b| {
-                    Some((get_oid(b)?, wire::get_f64(b)?))
-                })?,
-                time_us: wire::get_u64(buf)?,
-                corr: get_corr(buf)?,
-            },
-            T_HANDOVER_REQ => Message::HandoverReq {
-                sighting: get_sighting(buf)?,
-                reg: get_reg(buf)?,
-                epoch: Hlc(wire::get_u64(buf)?),
-                corr: get_corr(buf)?,
-            },
-            T_HANDOVER_RES => Message::HandoverRes {
-                oid: get_oid(buf)?,
-                new_agent: get_server(buf)?,
-                offered_acc_m: wire::get_f64(buf)?,
-                epoch: Hlc(wire::get_u64(buf)?),
-                corr: get_corr(buf)?,
-            },
-            T_HANDOVER_FAILED => Message::HandoverFailed {
-                oid: get_oid(buf)?,
-                epoch: Hlc(wire::get_u64(buf)?),
-                corr: get_corr(buf)?,
-            },
-            T_AGENT_CHANGED => Message::AgentChanged {
-                oid: get_oid(buf)?,
-                new_agent: get_server(buf)?,
-                offered_acc_m: wire::get_f64(buf)?,
-            },
-            T_OUT_OF_AREA => Message::OutOfServiceArea { oid: get_oid(buf)? },
-            T_DEREGISTER => Message::DeregisterReq { oid: get_oid(buf)? },
-            T_REMOVE_PATH => {
-                Message::RemovePath { oid: get_oid(buf)?, epoch: Hlc(wire::get_u64(buf)?) }
-            }
-            T_CHANGE_ACC_REQ => Message::ChangeAccReq {
-                oid: get_oid(buf)?,
-                des_acc_m: wire::get_f64(buf)?,
-                min_acc_m: wire::get_f64(buf)?,
-                corr: get_corr(buf)?,
-            },
-            T_CHANGE_ACC_RES => Message::ChangeAccRes {
-                oid: get_oid(buf)?,
-                ok: wire::get_bool(buf)?,
-                offered_acc_m: wire::get_f64(buf)?,
-                corr: get_corr(buf)?,
-            },
-            T_NOTIFY_ACC => Message::NotifyAvailAcc {
-                oid: get_oid(buf)?,
-                offered_acc_m: wire::get_f64(buf)?,
-            },
-            T_POS_REQ => Message::PosQueryReq { oid: get_oid(buf)?, corr: get_corr(buf)? },
-            T_POS_FWD => Message::PosQueryFwd {
-                oid: get_oid(buf)?,
-                entry: get_server(buf)?,
-                direct: wire::get_bool(buf)?,
-                corr: get_corr(buf)?,
-            },
-            T_POS_RES => Message::PosQueryRes {
-                oid: get_oid(buf)?,
-                found: get_opt_ld(buf)?,
-                time_us: wire::get_u64(buf)?,
-                max_speed_mps: wire::get_f64(buf)?,
-                corr: get_corr(buf)?,
-            },
-            T_POS_MISS => Message::PosQueryMiss { oid: get_oid(buf)?, corr: get_corr(buf)? },
-            T_RANGE_REQ => {
-                Message::RangeQueryReq { query: get_range_query(buf)?, corr: get_corr(buf)? }
-            }
-            T_RANGE_FWD => Message::RangeQueryFwd {
-                query: get_range_query(buf)?,
-                entry: get_server(buf)?,
-                corr: get_corr(buf)?,
-            },
-            T_RANGE_SUB => Message::RangeQuerySubRes {
-                items: get_items(buf)?,
-                covered_area_m2: wire::get_f64(buf)?,
-                leaf: get_server(buf)?,
-                leaf_area: wire::get_rect(buf)?,
-                corr: get_corr(buf)?,
-            },
-            T_RANGE_RES => Message::RangeQueryRes {
-                items: get_items(buf)?,
-                complete: wire::get_bool(buf)?,
-                corr: get_corr(buf)?,
-            },
-            T_NN_REQ => Message::NeighborQueryReq {
-                p: wire::get_point(buf)?,
-                req_acc_m: wire::get_f64(buf)?,
-                near_qual_m: wire::get_f64(buf)?,
-                corr: get_corr(buf)?,
-            },
-            T_NN_FWD => Message::NeighborQueryFwd {
-                p: wire::get_point(buf)?,
-                req_acc_m: wire::get_f64(buf)?,
-                radius_m: wire::get_f64(buf)?,
-                entry: get_server(buf)?,
-                corr: get_corr(buf)?,
-            },
-            T_NN_SUB => Message::NeighborQuerySubRes {
-                items: get_items(buf)?,
-                covered_area_m2: wire::get_f64(buf)?,
-                leaf: get_server(buf)?,
-                leaf_area: wire::get_rect(buf)?,
-                corr: get_corr(buf)?,
-            },
-            T_NN_RES => Message::NeighborQueryRes {
-                nearest: get_opt_item(buf)?,
-                near_set: get_items(buf)?,
-                complete: wire::get_bool(buf)?,
-                corr: get_corr(buf)?,
-            },
-            T_EV_REG_REQ => Message::EventRegisterReq {
-                predicate: Predicate::decode(buf)?,
-                corr: get_corr(buf)?,
-            },
-            T_EV_REG_RES => Message::EventRegisterRes {
-                event_id: wire::get_u64(buf)?,
-                corr: get_corr(buf)?,
-            },
-            T_EV_INSTALL => Message::EventInstall {
-                event_id: wire::get_u64(buf)?,
-                coordinator: get_server(buf)?,
-                predicate: Predicate::decode(buf)?,
-            },
-            T_EV_UNINSTALL => Message::EventUninstall { event_id: wire::get_u64(buf)? },
-            T_EV_REPORT => Message::EventLocalReport {
-                event_id: wire::get_u64(buf)?,
-                leaf: get_server(buf)?,
-                count: wire::get_u32(buf)?,
-                entered: get_oids(buf)?,
-                left: get_oids(buf)?,
-            },
-            T_EV_NOTIFY => Message::EventNotify {
-                event_id: wire::get_u64(buf)?,
-                kind: EventKind::decode(buf)?,
-            },
-            T_EV_CANCEL => Message::EventCancelReq { event_id: wire::get_u64(buf)? },
-            T_POS_PROBE => Message::PositionProbe { oid: get_oid(buf)? },
-            T_AGENT_LOOKUP => Message::AgentLookup {
-                oid: get_oid(buf)?,
-                object: wire::get_endpoint(buf)?,
-            },
-            T_STATE_TRANSFER => Message::StateTransfer {
-                records: wire::get_vec(buf, MAX_ITEMS, get_transfer_record)?,
-                epoch: Hlc(wire::get_u64(buf)?),
-                corr: get_corr(buf)?,
-            },
-            T_STATE_TRANSFER_ACK => Message::StateTransferAck {
-                accepted: wire::get_u32(buf)?,
-                epoch: Hlc(wire::get_u64(buf)?),
-                corr: get_corr(buf)?,
-            },
-            T_PATH_SYNC_REQ => Message::PathSyncReq {
-                after: match wire::get_u8(buf)? {
-                    0 => None,
-                    1 => Some(get_oid(buf)?),
-                    _ => return None,
-                },
-                corr: get_corr(buf)?,
-            },
-            T_PATH_SYNC_RES => Message::PathSyncRes {
-                entries: get_path_entries(buf)?,
-                done: wire::get_bool(buf)?,
-                corr: get_corr(buf)?,
-            },
-            T_FWD_DELTA => Message::FwdDelta {
-                stream: wire::get_u64(buf)?,
-                seq: wire::get_u64(buf)?,
-                replica: wire::get_bool(buf)?,
-                records: wire::get_vec(buf, MAX_ITEMS, get_delta_record)?,
-                corr: get_corr(buf)?,
-            },
-            T_FWD_DELTA_ACK => Message::FwdDeltaAck {
-                stream: wire::get_u64(buf)?,
-                seq: wire::get_u64(buf)?,
-                applied: wire::get_u32(buf)?,
-                corr: get_corr(buf)?,
-            },
-            _ => return None,
-        })
-    }
-}
+codec_via_field!(Message, Predicate, EventKind);
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use hiloc_geo::{Polygon, Region};
+    use hiloc_net::wire;
     use hiloc_net::ClientId;
+    use std::collections::BTreeSet;
 
     mod golden;
 
@@ -1828,70 +867,12 @@ mod tests {
         ]
     }
 
-    /// Exhaustive variant index — no wildcard arm, so adding a
-    /// `Message` variant fails compilation here until the variant is
-    /// added to [`sample_messages`] (and thereby to the round-trip,
-    /// label-uniqueness and truncation tests).
-    fn variant_ordinal(m: &Message) -> usize {
-        match m {
-            Message::RegisterReq { .. } => 0,
-            Message::RegisterRes { .. } => 1,
-            Message::RegisterFailed { .. } => 2,
-            Message::CreatePath { .. } => 3,
-            Message::UpdateReq { .. } => 4,
-            Message::UpdateAck { .. } => 5,
-            Message::HandoverReq { .. } => 6,
-            Message::HandoverRes { .. } => 7,
-            Message::HandoverFailed { .. } => 8,
-            Message::AgentChanged { .. } => 9,
-            Message::OutOfServiceArea { .. } => 10,
-            Message::DeregisterReq { .. } => 11,
-            Message::RemovePath { .. } => 12,
-            Message::ChangeAccReq { .. } => 13,
-            Message::ChangeAccRes { .. } => 14,
-            Message::NotifyAvailAcc { .. } => 15,
-            Message::PosQueryReq { .. } => 16,
-            Message::PosQueryFwd { .. } => 17,
-            Message::PosQueryRes { .. } => 18,
-            Message::PosQueryMiss { .. } => 19,
-            Message::RangeQueryReq { .. } => 20,
-            Message::RangeQueryFwd { .. } => 21,
-            Message::RangeQuerySubRes { .. } => 22,
-            Message::RangeQueryRes { .. } => 23,
-            Message::NeighborQueryReq { .. } => 24,
-            Message::NeighborQueryFwd { .. } => 25,
-            Message::NeighborQuerySubRes { .. } => 26,
-            Message::NeighborQueryRes { .. } => 27,
-            Message::EventRegisterReq { .. } => 28,
-            Message::EventRegisterRes { .. } => 29,
-            Message::EventInstall { .. } => 30,
-            Message::EventUninstall { .. } => 31,
-            Message::EventLocalReport { .. } => 32,
-            Message::EventNotify { .. } => 33,
-            Message::EventCancelReq { .. } => 34,
-            Message::PositionProbe { .. } => 35,
-            Message::AgentLookup { .. } => 36,
-            Message::UpdateBatch { .. } => 37,
-            Message::UpdateBatchAck { .. } => 38,
-            Message::StateTransfer { .. } => 39,
-            Message::StateTransferAck { .. } => 40,
-            Message::PathSyncReq { .. } => 41,
-            Message::PathSyncRes { .. } => 42,
-            Message::FwdDelta { .. } => 43,
-            Message::FwdDeltaAck { .. } => 44,
-        }
-    }
-    const VARIANT_COUNT: usize = 45;
-
     #[test]
     fn samples_cover_every_variant() {
-        let mut seen = [false; VARIANT_COUNT];
-        for m in sample_messages() {
-            seen[variant_ordinal(&m)] = true;
-        }
-        let missing: Vec<usize> =
-            seen.iter().enumerate().filter(|(_, s)| !**s).map(|(i, _)| i).collect();
-        assert!(missing.is_empty(), "sample_messages misses variant ordinals {missing:?}");
+        let sampled: BTreeSet<u8> = sample_messages().iter().map(|m| m.to_bytes()[0]).collect();
+        let missing: Vec<_> =
+            Message::VARIANTS.iter().filter(|(tag, _)| !sampled.contains(tag)).collect();
+        assert!(missing.is_empty(), "sample_messages misses variants {missing:?}");
     }
 
     #[test]
@@ -1925,20 +906,18 @@ mod tests {
 
     #[test]
     fn labels_are_unique_per_variant() {
-        use std::collections::BTreeMap;
-        let mut by_label: BTreeMap<&str, usize> = BTreeMap::new();
+        let tags: BTreeSet<u8> = Message::VARIANTS.iter().map(|(tag, _)| *tag).collect();
+        let labels: BTreeSet<&str> = Message::VARIANTS.iter().map(|(_, label)| *label).collect();
+        assert_eq!(tags.len(), Message::VARIANTS.len(), "every variant needs its own tag");
+        assert_eq!(labels.len(), Message::VARIANTS.len(), "every variant needs its own label");
         for m in sample_messages() {
-            let ord = variant_ordinal(&m);
-            if let Some(prev) = by_label.insert(m.label(), ord) {
-                assert_eq!(
-                    prev,
-                    ord,
-                    "label {:?} is shared by two different variants",
-                    m.label()
-                );
-            }
+            let tag = m.to_bytes()[0];
+            assert!(
+                Message::VARIANTS.contains(&(tag, m.label())),
+                "{} is not labelled by its table entry",
+                m.label()
+            );
         }
-        assert_eq!(by_label.len(), VARIANT_COUNT, "every variant needs its own label");
     }
 
     #[test]
@@ -1961,8 +940,8 @@ mod tests {
     fn semantic_validation_in_decode() {
         // Negative accuracy must not decode into a Sighting.
         let mut buf = Vec::new();
-        wire::put_u8(&mut buf, T_UPDATE_REQ);
-        put_oid(&mut buf, ObjectId(1));
+        wire::put_u8(&mut buf, 5); // update
+        wire::put_u64(&mut buf, 1);
         wire::put_u64(&mut buf, 0);
         wire::put_point(&mut buf, Point::ORIGIN);
         wire::put_f64(&mut buf, -5.0);

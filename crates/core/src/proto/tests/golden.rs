@@ -112,7 +112,8 @@ fn corpus() -> BTreeMap<String, String> {
 
     let rect = Region::from(Rect::new(Point::new(0.0, 0.0), Point::new(9.0, 9.0)));
     let polygon = Region::Polygon(
-        Polygon::new(vec![Point::new(0.0, 0.0), Point::new(4.0, 0.0), Point::new(2.0, 3.0)]).unwrap(),
+        Polygon::new(vec![Point::new(0.0, 0.0), Point::new(4.0, 0.0), Point::new(2.0, 3.0)])
+            .unwrap(),
     );
     let predicates = [
         ("countAtLeast", Predicate::CountAtLeast { area: rect.clone(), threshold: 5 }),
@@ -144,10 +145,7 @@ fn corpus() -> BTreeMap<String, String> {
             VisitorRecord::decode(b).map(|v| record_bytes(&v))
         });
     }
-    let replicas = [
-        ("sighted", Some(sighting())),
-        ("unsighted", None),
-    ];
+    let replicas = [("sighted", Some(sighting())), ("unsighted", None)];
     for (name, sighting) in replicas {
         let v = ReplicaValue { reg: reg(), offered_acc_m: 12.5, epoch: Hlc(9), sighting };
         add(format!("replicaValue.{name}"), record_bytes(&v), &|b| {

@@ -72,6 +72,48 @@ fn leaf_registration_emits_res_and_create_path() {
 }
 
 #[test]
+fn leaf_rejects_registrations_with_invalid_accuracy_bounds() {
+    // Each of these would be stored as a record whose handover or
+    // replication message the codec refuses to decode.
+    let pos = Point::new(100.0, 100.0);
+    let bounds = [
+        (50.0, 30.0, 2.0),      // desired worse than minimal
+        (-1.0, 30.0, 2.0),      // negative desired accuracy
+        (10.0, 30.0, f64::NAN), // NaN max speed
+        (10.0, 30.0, -3.0),     // negative max speed
+    ];
+    for (i, (des_acc_m, min_acc_m, max_speed_mps)) in bounds.into_iter().enumerate() {
+        let mut nodes = servers();
+        let msg = Message::RegisterReq {
+            sighting: Sighting::new(ObjectId(1), 0, pos, 5.0),
+            des_acc_m,
+            min_acc_m,
+            max_speed_mps,
+            registrant: client(),
+            corr: CorrId(i as u64),
+        };
+        let out = nodes[1].handle(0, env(client(), ServerId(1), msg));
+        assert_eq!(out.len(), 1, "case {i}: {out:?}");
+        assert_eq!(out[0].to, client());
+        assert!(matches!(out[0].msg, Message::RegisterFailed { .. }), "case {i}: {out:?}");
+        assert_eq!(nodes[1].visitor_count(), 0, "case {i}");
+    }
+
+    // A renegotiation to a NaN range is refused the same way.
+    let mut nodes = servers();
+    nodes[1].handle(0, env(client(), ServerId(1), register_msg(1, pos, 9)));
+    let change = Message::ChangeAccReq {
+        oid: ObjectId(1),
+        des_acc_m: f64::NAN,
+        min_acc_m: 30.0,
+        corr: CorrId(10),
+    };
+    let out = nodes[1].handle(1, env(client(), ServerId(1), change));
+    assert_eq!(out.len(), 1, "{out:?}");
+    assert!(matches!(out[0].msg, Message::ChangeAccRes { ok: false, .. }), "{out:?}");
+}
+
+#[test]
 fn nonleaf_routes_registration_down_and_root_rejects_outside() {
     let mut nodes = servers();
     let pos = Point::new(900.0, 100.0); // SE quadrant = s2

@@ -227,8 +227,8 @@ pub fn lex(src: &str) -> Lexed {
                     }
                     j += 1;
                 }
-                // Numeric literals keep their text (the wire rule reads
-                // `VARIANT_COUNT`); string-ish literals stay opaque.
+                // Numeric literals keep their text; string-ish literals
+                // stay opaque.
                 out.tokens.push(Token {
                     kind: TokKind::Literal,
                     text: src[i..j].to_string(),

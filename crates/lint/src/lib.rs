@@ -4,9 +4,9 @@
 //! (no randomized-iteration containers in replay-sensitive crates), no
 //! wall-clock reads outside the real-time edges, allocation-free
 //! hot-path functions, the zero-external-dependency manifest policy,
-//! and full wire-protocol variant coverage. The analyzer lexes Rust
-//! itself — no `syn`, no `proc-macro2` — in keeping with the workspace
-//! dependency policy it enforces.
+//! durability barriers only inside the storage engine, and a total HLC
+//! order. The analyzer lexes Rust itself — no `syn`, no `proc-macro2` —
+//! in keeping with the workspace dependency policy it enforces.
 //!
 //! Exceptions live in the source as `// lint:allow(<rule>) <reason>`
 //! (line scope) or `// lint:allow-file(<rule>) <reason>`; every allow

@@ -9,7 +9,10 @@ use hiloc_geo::{Point, Region};
 /// over its circular location area, so the overlap degree is the
 /// probability the object really is inside `area`. For a degenerate
 /// location area (`acc = 0`) the overlap is 1 when the recorded point is
-/// inside the area and 0 otherwise.
+/// inside the area and 0 otherwise. A location area wholly inside `area`
+/// has overlap exactly 1, so it qualifies at `reqOverlap = 1`; one whose
+/// bounding box misses `area` has overlap exactly 0. Neither case
+/// computes an intersection area.
 ///
 /// # Example
 ///
@@ -23,11 +26,18 @@ use hiloc_geo::{Point, Region};
 /// let ld = LocationDescriptor::new(Point::new(0.0, 50.0), 10.0);
 /// assert!((overlap(&area, &ld) - 0.5).abs() < 1e-6);
 /// ```
+// lint:hot_path
 pub fn overlap(area: &Region, ld: &LocationDescriptor) -> f64 {
     if ld.acc_m <= 0.0 {
         return if area.contains(ld.pos) { 1.0 } else { 0.0 };
     }
     let circle = ld.location_area();
+    if area.contains_circle(&circle) {
+        return 1.0;
+    }
+    if !area.bounding_rect().intersects(&circle.bounding_rect()) {
+        return 0.0;
+    }
     let inter = area.intersection_area_with_circle(&circle);
     (inter / circle.area()).clamp(0.0, 1.0)
 }
@@ -36,6 +46,7 @@ pub fn overlap(area: &Region, ld: &LocationDescriptor) -> f64 {
 /// requested accuracy and overlap thresholds:
 ///
 /// `Overlap(a, o) ≥ reqOverlap > 0  ∧  ld(o).acc ≤ reqAcc`.
+// lint:hot_path
 pub fn qualifies_for_range(
     area: &Region,
     ld: &LocationDescriptor,
@@ -108,7 +119,9 @@ pub fn guaranteed_min_distance(p: Point, nearest: &LocationDescriptor) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hiloc_geo::Rect;
+    use hiloc_geo::{Polygon, Rect};
+    use hiloc_util::prop::check;
+    use hiloc_util::rng::{RngExt, SeedableRng, StdRng};
 
     fn rect_region(x0: f64, y0: f64, x1: f64, y1: f64) -> Region {
         Region::from(Rect::new(Point::new(x0, y0), Point::new(x1, y1)))
@@ -135,6 +148,62 @@ mod tests {
         let outside = LocationDescriptor::new(Point::new(-1.0, 1.0), 0.0);
         assert_eq!(overlap(&area, &inside), 1.0);
         assert_eq!(overlap(&area, &outside), 0.0);
+    }
+
+    /// A location area wholly inside the query area is certainly inside
+    /// it, so it qualifies at `reqOverlap = 1` — for rectangles and for
+    /// polygons. The exact area sum alone lands a few ulps below 1 for
+    /// a share of such circles.
+    #[test]
+    fn circles_wholly_inside_qualify_at_full_overlap() {
+        let side = 1_280.0;
+        let cell = rect_region(0.0, 0.0, side, side);
+        // A regular octagon: its inradius bounds the circles drawn below.
+        let centre = Point::new(side / 2.0, side / 2.0);
+        let octagon = Region::from(Polygon::regular(centre, side / 2.0, 8));
+        let inradius = side / 2.0 * (std::f64::consts::PI / 8.0).cos();
+        let mut rng = StdRng::seed_from_u64(0x1A51DE);
+        for _ in 0..20_000 {
+            let r = rng.random_range(1.0..100.0);
+            let p = Point::new(rng.random_range(r..side - r), rng.random_range(r..side - r));
+            let ld = LocationDescriptor::new(p, r);
+            assert_eq!(overlap(&cell, &ld), 1.0, "rectangle, {ld:?}");
+            assert!(qualifies_for_range(&cell, &ld, r, 1.0), "rectangle, {ld:?}");
+            if p.distance(centre) + r < inradius * (1.0 - 1e-9) {
+                assert_eq!(overlap(&octagon, &ld), 1.0, "polygon, {ld:?}");
+                assert!(qualifies_for_range(&octagon, &ld, r, 1.0), "polygon, {ld:?}");
+            }
+        }
+    }
+
+    /// The containment and disjointness shortcuts in [`overlap`] agree
+    /// with the exact area ratio, and everywhere else `overlap` is that
+    /// ratio, for rectangles and polygons.
+    #[test]
+    fn overlap_shortcuts_agree_with_exact_area() {
+        check(1_024, |g| {
+            let a = Point::new(g.random_range(-500.0..500.0), g.random_range(-500.0..500.0));
+            let region = if g.chance(0.5) {
+                let size = Point::new(g.random_range(1.0..800.0), g.random_range(1.0..800.0));
+                Region::from(Rect::new(a, a + size))
+            } else {
+                let n = g.random_range(3usize..10);
+                Region::from(Polygon::regular(a, g.random_range(5.0..400.0), n))
+            };
+            let ld = LocationDescriptor::new(
+                Point::new(g.random_range(-900.0..900.0), g.random_range(-900.0..900.0)),
+                g.random_range(0.5..300.0),
+            );
+            let circle = ld.location_area();
+            let exact = (region.intersection_area_with_circle(&circle) / circle.area()).clamp(0.0, 1.0);
+            let got = overlap(&region, &ld);
+            if region.contains_circle(&circle) {
+                assert_eq!(got, 1.0);
+            } else if !region.bounding_rect().intersects(&circle.bounding_rect()) {
+                assert_eq!(got, 0.0);
+            }
+            assert!((got - exact).abs() <= 1e-12, "{region} {ld:?}: {got} vs exact {exact}");
+        });
     }
 
     #[test]

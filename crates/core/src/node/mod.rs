@@ -21,7 +21,7 @@ pub use pending::{
     RelayAction, TransferOut,
 };
 pub use replica::{ReplicaDb, ReplicaValue};
-pub use visitor::{VisitorDb, VisitorRecord};
+pub use visitor::{OrderedReader, VisitorDb, VisitorRecord};
 
 use replication::Replication;
 
@@ -665,47 +665,56 @@ impl LocationServer {
 
     /// A leaf's qualifying items for a range query (paper Alg. 6-5,
     /// lines 3–5: candidates from the spatial index, then the exact
-    /// accuracy + overlap predicate).
+    /// accuracy + overlap predicate), sorted by object id.
     pub(crate) fn leaf_range_items(&self, query: &RangeQuery) -> Vec<ObjectLocation> {
+        let probe = SightingDb::range_probe(&query.area, query.req_acc_m);
         let mut items = Vec::new();
-        let visitors = &self.visitors;
-        self.sightings.range_candidates(&query.area, query.req_acc_m, &mut |rec| {
-            let Some(VisitorRecord::Leaf { offered_acc_m, .. }) = visitors.get(ObjectId(rec.key))
-            else {
-                return;
-            };
-            let ld = LocationDescriptor { pos: rec.pos, acc_m: *offered_acc_m };
-            if crate::model::semantics::qualifies_for_range(
+        self.sightings.keys_in_rect(&probe, &mut |key, pos| {
+            items.push((ObjectId(key), LocationDescriptor { pos, acc_m: 0.0 }));
+        });
+        self.resolve_leaf_candidates(&mut items, |ld| {
+            crate::model::semantics::qualifies_for_range(
                 &query.area,
-                &ld,
+                ld,
                 query.req_acc_m,
                 query.req_overlap,
-            ) {
-                items.push((ObjectId(rec.key), ld));
-            }
+            )
         });
         items
     }
 
     /// A leaf's candidates for a nearest-neighbor ring: recorded
-    /// position within `radius_m` of `p`, accuracy within `req_acc_m`.
+    /// position within `radius_m` of `p`, accuracy within `req_acc_m`;
+    /// sorted by object id.
     pub(crate) fn leaf_nn_items(&self, p: Point, radius_m: f64, req_acc_m: f64) -> Vec<ObjectLocation> {
         let mut items = Vec::new();
-        let probe = Self::nn_probe(p, radius_m);
-        let visitors = &self.visitors;
-        self.sightings.query_rect(&probe, &mut |rec| {
-            if rec.pos.distance(p) > radius_m {
-                return;
-            }
-            let Some(VisitorRecord::Leaf { offered_acc_m, .. }) = visitors.get(ObjectId(rec.key))
-            else {
-                return;
-            };
-            if *offered_acc_m <= req_acc_m {
-                items.push((ObjectId(rec.key), LocationDescriptor { pos: rec.pos, acc_m: *offered_acc_m }));
+        self.sightings.keys_in_rect(&Self::nn_probe(p, radius_m), &mut |key, pos| {
+            if pos.distance(p) <= radius_m {
+                items.push((ObjectId(key), LocationDescriptor { pos, acc_m: 0.0 }));
             }
         });
+        self.resolve_leaf_candidates(&mut items, |ld| ld.acc_m <= req_acc_m);
         items
+    }
+
+    /// Completes spatial-index candidates in place: sorts them by object
+    /// id, reads each one's `VisitorRecord::Leaf` in that key order to
+    /// fill in its offered accuracy, and keeps those that have one and
+    /// pass `keep`.
+    fn resolve_leaf_candidates(
+        &self,
+        items: &mut Vec<ObjectLocation>,
+        keep: impl Fn(&LocationDescriptor) -> bool,
+    ) {
+        items.sort_unstable_by_key(|&(oid, _)| oid);
+        let mut visitors = self.visitors.ordered_reader();
+        items.retain_mut(|(oid, ld)| match visitors.get(*oid) {
+            Some(VisitorRecord::Leaf { offered_acc_m, .. }) => {
+                ld.acc_m = *offered_acc_m;
+                keep(ld)
+            }
+            _ => false,
+        });
     }
 
     /// Emits event reports for observer deltas produced at this leaf.

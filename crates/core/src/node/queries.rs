@@ -24,11 +24,13 @@ enum LocalAnswer {
     NotHere,
 }
 
-/// Removes duplicate objects (message duplication can deliver a leaf's
-/// sub-result twice) keeping first occurrences.
-pub(crate) fn dedup_items(items: Vec<ObjectLocation>) -> Vec<ObjectLocation> {
-    let mut seen = BTreeSet::new();
-    items.into_iter().filter(|(oid, _)| seen.insert(*oid)).collect()
+/// Sorts gathered items by object id and removes duplicate objects
+/// (two leaves can both report an object during a handover), keeping
+/// each object's first report: the sort is stable.
+pub(crate) fn dedup_items(mut items: Vec<ObjectLocation>) -> Vec<ObjectLocation> {
+    items.sort_by_key(|&(oid, _)| oid);
+    items.dedup_by_key(|&mut (oid, _)| oid);
+    items
 }
 
 impl LocationServer {
@@ -674,5 +676,30 @@ impl LocationServer {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn ld(x: f64) -> LocationDescriptor {
+        LocationDescriptor::new(Point::new(x, 0.0), 10.0)
+    }
+
+    /// During a handover the old and the new agent can both report an
+    /// object; the gather keeps the report that arrived first.
+    #[test]
+    fn dedup_items_keeps_the_first_report_of_an_object() {
+        let first_leaf = vec![(ObjectId(7), ld(1.0)), (ObjectId(3), ld(2.0))];
+        let second_leaf = vec![(ObjectId(5), ld(3.0)), (ObjectId(7), ld(4.0))];
+        let gathered = dedup_items([first_leaf, second_leaf].concat());
+        assert_eq!(
+            gathered,
+            vec![(ObjectId(3), ld(2.0)), (ObjectId(5), ld(3.0)), (ObjectId(7), ld(1.0))]
+        );
+        // Reversed arrival order keeps the other report.
+        let gathered = dedup_items(vec![(ObjectId(7), ld(4.0)), (ObjectId(7), ld(1.0))]);
+        assert_eq!(gathered, vec![(ObjectId(7), ld(4.0))]);
     }
 }

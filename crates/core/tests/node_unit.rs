@@ -3,11 +3,14 @@
 //! outputs — the paper's pseudocode, line by line.
 
 use hiloc_core::area::HierarchyBuilder;
-use hiloc_core::model::{Hlc, ObjectId, Sighting, SECOND};
+use hiloc_core::model::semantics::qualifies_for_range;
+use hiloc_core::model::{Hlc, LocationDescriptor, ObjectId, RangeQuery, Sighting, SECOND};
 use hiloc_core::node::{LocationServer, ServerOptions, VisitorRecord};
 use hiloc_core::proto::Message;
-use hiloc_geo::{Point, Rect};
+use hiloc_geo::{Point, Polygon, Rect, Region};
 use hiloc_net::{ClientId, CorrId, Endpoint, Envelope, ServerId};
+use hiloc_util::rng::{RngExt, SeedableRng, StdRng};
+use std::collections::BTreeMap;
 
 fn servers() -> Vec<LocationServer> {
     // Root + 4 leaves over 1 km².
@@ -396,6 +399,81 @@ fn tick_times_out_stale_gathers_with_partial_answer() {
     ));
     assert_eq!(nodes[1].pending_count(), 0);
     assert_eq!(nodes[1].stats().gathers_timed_out, 1);
+}
+
+/// A leaf's range answer equals a scan of every sighting through the
+/// exact predicate, for rectangle and polygon regions, including
+/// objects whose offered accuracy exceeds `reqAcc`, and comes back
+/// sorted by object id.
+#[test]
+fn leaf_range_answers_match_a_brute_force_scan() {
+    let area = Rect::new(Point::new(0.0, 0.0), Point::new(1_000.0, 1_000.0));
+    let h = HierarchyBuilder::grid(area, 0, 2).build().unwrap();
+    let mut leaf = LocationServer::new(h.servers()[0].clone(), ServerOptions::default()).unwrap();
+    let mut rng = StdRng::seed_from_u64(0xA4C1E);
+    let random_pos = |rng: &mut StdRng| {
+        Point::new(rng.random_range(0.0..1_000.0), rng.random_range(0.0..1_000.0))
+    };
+    // oid → (position, offered accuracy), filled in from the leaf's replies.
+    let mut truth: BTreeMap<u64, LocationDescriptor> = BTreeMap::new();
+    for oid in 0..600u64 {
+        // Ids spread over the key space, registered in scrambled order.
+        let oid = oid.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 20;
+        let pos = random_pos(&mut rng);
+        let msg = Message::RegisterReq {
+            sighting: Sighting::new(ObjectId(oid), 0, pos, 5.0),
+            des_acc_m: rng.random_range(1.0..120.0),
+            min_acc_m: 150.0,
+            max_speed_mps: 2.0,
+            registrant: client(),
+            corr: CorrId(oid),
+        };
+        for e in leaf.handle(0, env(client(), ServerId(0), msg)) {
+            if let Message::RegisterRes { offered_acc_m, .. } = e.msg {
+                truth.insert(oid, LocationDescriptor::new(pos, offered_acc_m));
+            }
+        }
+    }
+    assert_eq!(truth.len(), 600);
+    // Move half of the objects so the index holds updated positions.
+    let oids: Vec<u64> = truth.keys().copied().step_by(2).collect();
+    for oid in oids {
+        let pos = random_pos(&mut rng);
+        let sighting = Sighting::new(ObjectId(oid), SECOND, pos, 5.0);
+        leaf.handle(SECOND, env(client(), ServerId(0), Message::UpdateReq { sighting }));
+        truth.get_mut(&oid).unwrap().pos = pos;
+    }
+
+    let mut regions = Vec::new();
+    for _ in 0..6 {
+        let (a, b) = (random_pos(&mut rng), random_pos(&mut rng));
+        regions.push(Region::from(Rect::new(a, b)));
+        let r = rng.random_range(20.0..400.0);
+        regions.push(Region::from(Polygon::regular(a, r, rng.random_range(3usize..9))));
+    }
+    regions.push(Region::from(area));
+    let mut corr = 1_000;
+    for region in &regions {
+        for (req_acc_m, req_overlap) in [(30.0, 0.5), (150.0, 1.0), (60.0, 0.1), (10.0, 0.9)] {
+            corr += 1;
+            let query = RangeQuery::new(region.clone(), req_acc_m, req_overlap);
+            let out = leaf.handle(
+                2 * SECOND,
+                env(client(), ServerId(0), Message::RangeQueryReq { query, corr: CorrId(corr) }),
+            );
+            assert_eq!(out.len(), 1);
+            let Message::RangeQueryRes { items, complete: true, .. } = &out[0].msg else {
+                panic!("expected a complete answer, got {:?}", out[0].msg);
+            };
+            let expect: Vec<(ObjectId, LocationDescriptor)> = truth
+                .iter()
+                .filter(|(_, ld)| qualifies_for_range(region, ld, req_acc_m, req_overlap))
+                .map(|(&oid, &ld)| (ObjectId(oid), ld))
+                .collect();
+            assert_eq!(items, &expect, "{region} reqAcc {req_acc_m} reqOverlap {req_overlap}");
+            assert!(items.windows(2).all(|w| w[0].0 < w[1].0), "items sorted by oid");
+        }
+    }
 }
 
 #[test]

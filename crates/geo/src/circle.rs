@@ -105,23 +105,38 @@ impl Circle {
         if !self.intersects_rect(&polygon.bounding_rect()) {
             return 0.0;
         }
+        self.edge_sum(polygon.edges())
+    }
+
+    /// Area of the intersection with a rectangle, in square meters.
+    ///
+    /// The same edge sum as [`Circle::intersection_area_with_polygon`],
+    /// taken over `rect.corners()` in the order `Polygon::from_rect`
+    /// lists them, so the result is bit for bit the polygon path's —
+    /// without building a polygon.
+    // lint:hot_path
+    pub fn intersection_area_with_rect(&self, rect: &Rect) -> f64 {
+        if rect.area() <= 0.0 || self.radius <= 0.0 || !self.intersects_rect(rect) {
+            return 0.0;
+        }
+        let c = rect.corners();
+        self.edge_sum((0..4).map(|i| (c[i], c[(i + 1) % 4])))
+    }
+
+    /// The intersection area with the shape bounded by the directed
+    /// `edges`: the absolute sum of their contributions.
+    // lint:hot_path
+    fn edge_sum(&self, edges: impl Iterator<Item = (Point, Point)>) -> f64 {
         let mut total = 0.0;
-        for (a, b) in polygon.edges() {
+        for (a, b) in edges {
             total += self.edge_contribution(a - self.center, b - self.center);
         }
         total.abs()
     }
 
-    /// Area of the intersection with a rectangle, in square meters.
-    pub fn intersection_area_with_rect(&self, rect: &Rect) -> f64 {
-        if rect.area() <= 0.0 {
-            return 0.0;
-        }
-        self.intersection_area_with_polygon(&Polygon::from_rect(rect))
-    }
-
     /// Signed contribution of the edge `(a, b)` (translated so the circle
     /// center is the origin) to the circle–polygon intersection area.
+    // lint:hot_path
     fn edge_contribution(&self, a: Point, b: Point) -> f64 {
         let r = self.radius;
         let r_sq = r * r;

@@ -364,6 +364,12 @@ impl Polygon {
         if self.contains(p) {
             return 0.0;
         }
+        self.boundary_distance(p)
+    }
+
+    /// Minimum distance from `p` to the polygon's boundary, whether `p`
+    /// is inside or outside.
+    pub fn boundary_distance(&self, p: Point) -> f64 {
         self.edges()
             .map(|(a, b)| point_segment_distance(p, a, b))
             .fold(f64::INFINITY, f64::min)

@@ -74,6 +74,19 @@ impl Region {
         }
     }
 
+    /// True when the whole circle lies inside the region (its boundary
+    /// may touch the region's). Decided without computing an area: for a
+    /// rectangle, the circle's bounding box is inside it; for a polygon,
+    /// the centre is inside and no edge is nearer than the radius.
+    pub fn contains_circle(&self, circle: &Circle) -> bool {
+        match self {
+            Region::Rect(r) => r.contains_rect(&circle.bounding_rect()),
+            Region::Polygon(p) => {
+                p.contains(circle.center) && p.boundary_distance(circle.center) >= circle.radius
+            }
+        }
+    }
+
     /// Area of the intersection with a rectangle, in square meters.
     pub fn intersection_area_with_rect(&self, rect: &Rect) -> f64 {
         match self {

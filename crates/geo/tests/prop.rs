@@ -93,17 +93,47 @@ fn circle_inside_polygon_has_full_overlap() {
     });
 }
 
+/// The allocation-free rectangle intersection is the polygon path's
+/// edge sum bit for bit, over circles inside, straddling an edge, on a
+/// corner, tangent to an edge from outside, disjoint, and of zero
+/// radius.
 #[test]
 fn circle_rect_matches_polygon_path() {
-    check(CASES, |g| {
-        let c = circle(g);
-        let r = rect(g);
-        if r.area() <= 1e-6 {
-            return;
-        }
+    check(CASES * 4, |g| {
+        let min = point(g);
+        let (w, h) = (g.random_range(0.5..1_500.0), g.random_range(0.5..1_500.0));
+        let r = Rect::new(min, min + Point::new(w, h));
+        let corners = r.corners();
+        let on_edge = |g: &mut Gen| {
+            let i = g.index(4);
+            let t = g.random_range(0.0..1.0);
+            corners[i] + (corners[(i + 1) % 4] - corners[i]) * t
+        };
+        let c = match g.index(6) {
+            0 => {
+                let rad = g.random_range(0.0..w.min(h) / 2.0);
+                let p = Point::new(
+                    g.random_range(min.x + rad..min.x + w - rad + 1e-9),
+                    g.random_range(min.y + rad..min.y + h - rad + 1e-9),
+                );
+                Circle::new(p, rad)
+            }
+            1 => Circle::new(on_edge(g), g.random_range(0.1..2_000.0)),
+            2 => {
+                let jitter = Point::new(g.random_range(-1.0..1.0), g.random_range(-1.0..1.0));
+                Circle::new(*g.pick(&corners) + jitter, g.random_range(0.1..500.0))
+            }
+            3 => {
+                let rad = g.random_range(0.1..500.0);
+                let p = Point::new(r.max().x + rad, g.random_range(min.y..min.y + h));
+                Circle::new(p, rad)
+            }
+            4 => Circle::new(r.max() + Point::new(g.random_range(1.0..500.0), 0.0) * 2.0, 1.0),
+            _ => Circle::new(on_edge(g), 0.0),
+        };
         let via_rect = c.intersection_area_with_rect(&r);
         let via_poly = c.intersection_area_with_polygon(&Polygon::from_rect(&r));
-        assert!((via_rect - via_poly).abs() < 1e-6 * via_rect.max(1.0));
+        assert_eq!(via_rect.to_bits(), via_poly.to_bits(), "{c} vs {r}: {via_rect} vs {via_poly}");
     });
 }
 

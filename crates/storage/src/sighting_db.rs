@@ -411,30 +411,43 @@ impl SightingDb {
         self.wheel.values().next().map(|b| b.min_us)
     }
 
+    /// Invokes `sink` with the key and position of every sighting
+    /// positioned inside `rect`, straight from the spatial index: no
+    /// record lookup and no allocation per candidate. The one
+    /// enumeration behind [`SightingDb::query_rect`] and
+    /// [`SightingDb::range_candidates`].
+    // lint:hot_path
+    pub fn keys_in_rect(&self, rect: &Rect, sink: &mut dyn FnMut(u64, Point)) {
+        self.index.query_rect(rect, &mut |e| sink(e.key, e.pos));
+    }
+
     /// Invokes `sink` for every sighting positioned inside `rect`.
     pub fn query_rect(&self, rect: &Rect, sink: &mut dyn FnMut(&StoredSighting)) {
-        let slots = &self.slots;
-        let by_key = &self.by_key;
-        self.index.query_rect(rect, &mut |e| {
-            if let Some(&slot) = by_key.get(&e.key) {
-                sink(&slots[slot as usize].rec);
+        self.keys_in_rect(rect, &mut |key, _| {
+            if let Some(rec) = self.get(key) {
+                sink(rec);
             }
         });
     }
 
+    /// The probe rectangle for a range query over `region`: its bounding
+    /// rectangle enlarged by `margin` meters (the paper's
+    /// `Enlarge(area, reqAcc)` — an object's location area may poke
+    /// outside the region by up to its accuracy).
+    pub fn range_probe(region: &Region, margin: f64) -> Rect {
+        region.bounding_rect().enlarged(margin.max(0.0))
+    }
+
     /// Invokes `sink` for every *candidate* sighting for a range query
-    /// over `region`: all records within the region's bounding rectangle
-    /// enlarged by `margin` meters (the paper's `Enlarge(area, reqAcc)`
-    /// — an object's location area may poke outside the region by up to
-    /// its accuracy). The caller applies the exact overlap predicate.
+    /// over `region`: all records inside [`SightingDb::range_probe`].
+    /// The caller applies the exact overlap predicate.
     pub fn range_candidates(
         &self,
         region: &Region,
         margin: f64,
         sink: &mut dyn FnMut(&StoredSighting),
     ) {
-        let probe = region.bounding_rect().enlarged(margin.max(0.0));
-        self.query_rect(&probe, sink);
+        self.query_rect(&Self::range_probe(region, margin), sink);
     }
 
     /// The sighting nearest to `p` among those accepted by `filter`.
